@@ -79,7 +79,7 @@ def _build_parser():
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PtracError, StudyError
-from .inventory import FEATURES, Inventory, contrasting_feature
+from .inventory import FEATURES, Inventory
 from .lexicon import Lexicon
 from .syllabifier import syllabify
 
@@ -58,15 +58,9 @@ class SequenceTable:
     """Map from segment sequence to its type frequency."""
 
     freqs: dict = field(default_factory=dict)  # tuple -> occurrence count
-    entry_counts: dict = field(default_factory=dict)  # tuple -> contributing entries
 
-    def add(self, seq, entry_key):
+    def add(self, seq):
         self.freqs[seq] = self.freqs.get(seq, 0) + 1
-        self._entries.setdefault(seq, set()).add(entry_key)
-        self.entry_counts[seq] = len(self._entries[seq])
-
-    def __post_init__(self):
-        self._entries = {}
 
     def __len__(self):
         return len(self.freqs)
@@ -154,7 +148,7 @@ def extract_sequences(lex: Lexicon, inv: Inventory, cfg: StudyConfig):
             excluded.append(ExcludedEntry(ix, entry.orthography, str(exc)))
             continue
         for seq in seqs:
-            table.add(seq, ix)
+            table.add(seq)
     return table, excluded
 
 
@@ -168,10 +162,11 @@ def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: 
     """
     # Bucket by frame: two sequences differ at exactly one position iff
     # they share exactly one frame, so buckets cover every pair once.
+    is_vowel = inv.vowel_map
     buckets = {}
     for seq in table.freqs:
         for pos, sym in enumerate(seq):
-            if inv.is_vowel(sym):
+            if is_vowel[sym]:
                 continue
             buckets.setdefault((frame_of(seq, pos), pos, len(seq)), []).append(seq)
 
@@ -179,8 +174,9 @@ def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: 
     for (frame, pos, _), seqs in sorted(buckets.items()):
         seqs.sort()
         for i, a in enumerate(seqs):
+            neighbours = inv.relation[a[pos]]
             for b in seqs[i + 1:]:
-                feature = contrasting_feature(inv, a[pos], b[pos])
+                feature = neighbours.get(b[pos])
                 if feature is None:
                     continue
                 if cfg.feature is not None and feature != cfg.feature:
@@ -266,6 +262,8 @@ def list_pairs_for(pairs, feature, context, lex: Lexicon, inv: Inventory,
         raise StudyError("unknown feature %r" % feature)
     if scheme not in SCHEMES:
         raise StudyError("unknown aggregation scheme %r" % scheme)
+    if limit < 1:
+        raise StudyError("limit must be at least 1, got %d" % limit)
 
     words_by_seq = {}
     for entry in lex.entries:

@@ -14,6 +14,7 @@ Vowels never carry features and never participate in the pair relation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import InventoryError
@@ -46,10 +47,6 @@ class Phoneme:
     symbol: str
     is_vowel: bool
 
-    @property
-    def klass(self) -> str:
-        return "vowel" if self.is_vowel else "consonant"
-
 
 @dataclass(frozen=True)
 class FeatureSystem:
@@ -61,7 +58,18 @@ class FeatureSystem:
 
 
 class Inventory:
-    """Immutable after construction; safe for concurrent reads."""
+    """Immutable after construction; safe for concurrent reads.
+
+    Construction also builds the lookup tables the hot paths read:
+
+    * ``token_re``: an alternation of the symbols, longest first, plus the
+      glottal alias when the inventory has a glottal stop; a match at an
+      offset is the greedy longest-match token there;
+    * ``vowel_map``: symbol -> is_vowel;
+    * ``relation``: consonant -> {consonant: feature}, the pair relation
+      of ``contrasting_feature`` (symmetric, no entry for non-contrasting
+      pairs).
+    """
 
     def __init__(self, phonemes, feature_system, class_map=None):
         self.phonemes = {p.symbol: p for p in phonemes}
@@ -75,9 +83,25 @@ class Inventory:
         }
         self._validate()
 
+        # "?" in a transcription always spells the glottal stop, so a
+        # literal "?" symbol (possible only via the constructor) never matches.
+        symbols = sorted((s for s in self.phonemes if s != GLOTTAL_ALIAS), key=len, reverse=True)
+        if GLOTTAL in self.phonemes:
+            symbols.append(GLOTTAL_ALIAS)
+        self.token_re = re.compile("|".join(map(re.escape, symbols)))
+        self.vowel_map = {s: p.is_vowel for s, p in self.phonemes.items()}
+        self.relation = {c: {} for c in self.consonants}
+        for i, a in enumerate(self.consonants):
+            for b in self.consonants[i + 1:]:
+                feature = contrasting_feature(self, a, b)
+                if feature is not None:
+                    self.relation[a][b] = self.relation[b][a] = feature
+
     def _validate(self):
         if not self.consonants or not self.vowels:
             raise InventoryError("inventory needs at least one consonant and one vowel")
+        if "" in self.phonemes:
+            raise InventoryError("empty phoneme symbol")
         fs = self.feature_system
         if fs.mode == "pair-list":
             for pair in fs.pair_relation:
@@ -95,10 +119,7 @@ class Inventory:
                 raise InventoryError("consonants missing feature bundles: %s" % ", ".join(missing))
 
     def is_vowel(self, symbol: str) -> bool:
-        return self.phonemes[symbol].is_vowel
-
-    def is_consonant(self, symbol: str) -> bool:
-        return not self.phonemes[symbol].is_vowel
+        return self.vowel_map[symbol]
 
 
 def contrasting_feature(inv: Inventory, a: str, b: str):
@@ -127,15 +148,12 @@ def featural_pairs(inv: Inventory, feature: str, orientation: str = "unordered")
         raise InventoryError("unknown feature %r" % feature)
     if orientation not in ("ordered", "unordered"):
         raise InventoryError("unknown orientation %r" % orientation)
-    cons = inv.consonants
-    pairs = []
-    for i, a in enumerate(cons):
-        for b in cons[i + 1:]:
-            if contrasting_feature(inv, a, b) == feature:
-                pairs.append((a, b))
-    if orientation == "ordered":
-        pairs = sorted(pairs + [(b, a) for a, b in pairs])
-    return pairs
+    return sorted(
+        (a, b)
+        for a, neighbours in inv.relation.items()
+        for b, f in neighbours.items()
+        if f == feature and (orientation == "ordered" or a < b)
+    )
 
 
 def _split_sections(text):

@@ -9,9 +9,10 @@ Counts downstream are type frequencies, so no numeric column is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import LexiconError, TokenizeError
-from .inventory import Inventory, normalize_symbol
+from .inventory import GLOTTAL_ALIAS, Inventory, normalize_symbol
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,14 @@ class Lexicon:
     def __init__(self, entries, inventory: Inventory):
         self.entries = list(entries)
         self.inventory = inventory
+        unknown = set().union(*map(attrgetter("transcription"), self.entries))
+        unknown -= inventory.phonemes.keys()
+        if unknown:
+            first = next(e for e in self.entries if not unknown.isdisjoint(e.transcription))
+            raise LexiconError(
+                "symbol(s) not in the inventory: %s (first in entry %r)"
+                % (", ".join(map(repr, sorted(unknown))), first.orthography)
+            )
 
     def __len__(self):
         return len(self.entries)
@@ -49,24 +58,22 @@ def tokenize_transcription(text: str, inv: Inventory):
     """
     if not text:
         raise TokenizeError("empty transcription", offset=0, fragment="")
-    symbols = sorted(inv.phonemes, key=len, reverse=True)
-    out = []
-    i = 0
-    while i < len(text):
-        for sym in symbols:
-            cand = normalize_symbol(text[i:i + len(sym)])
-            if cand == sym:
-                out.append(sym)
-                i += len(sym)
-                break
-        else:
-            frag = text[i]
-            raise TokenizeError(
-                "no inventory symbol matches %r at offset %d" % (frag, i),
-                offset=i,
-                fragment=frag,
-            )
-    return tuple(out)
+    tokens = inv.token_re.findall(text)
+    # findall skips what no symbol matches; the tokens tile the text iff
+    # their lengths add up to it.
+    if sum(map(len, tokens)) != len(text):
+        i = 0
+        while m := inv.token_re.match(text, i):
+            i = m.end()
+        frag = text[i]
+        raise TokenizeError(
+            "no inventory symbol matches %r at offset %d" % (frag, i),
+            offset=i,
+            fragment=frag,
+        )
+    if GLOTTAL_ALIAS in text:
+        tokens = map(normalize_symbol, tokens)
+    return tuple(tokens)
 
 
 def parse_lexicon(text: str, inv: Inventory, strict: bool = False):

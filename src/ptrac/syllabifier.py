@@ -40,7 +40,8 @@ def syllabify(seq, inv: Inventory):
     seq = tuple(seq)
     if not seq:
         raise SyllabifyError("empty sequence", reason="no-nucleus")
-    vowel_ix = [i for i, s in enumerate(seq) if inv.is_vowel(s)]
+    is_vowel = inv.vowel_map
+    vowel_ix = [i for i, s in enumerate(seq) if is_vowel[s]]
     if not vowel_ix:
         raise SyllabifyError("no vowel in %r" % ("".join(seq),), reason="no-nucleus")
     if vowel_ix[0] == 0:

@@ -21,6 +21,24 @@ def random_inventory(rng, n_cons=8, n_vowels=3, pair_density=0.4):
     return Inventory(phonemes, FeatureSystem(mode="pair-list", pair_relation=relation))
 
 
+# Few labels per dimension, so random bundles often differ in exactly one.
+VECTOR_LABELS = (
+    ("stop", "fricative", "nasal"),
+    ("labial", "coronal", "dorsal"),
+    ("voiced", "voiceless"),
+)
+
+
+def random_vector_inventory(rng, n_cons=8, n_vowels=3):
+    """Vector-mode inventory: a random (manner, place, voice) bundle per
+    consonant; equal bundles are allowed and never contrast."""
+    cons = rng.sample(CONSONANT_POOL, n_cons)
+    vowels = rng.sample(VOWEL_POOL, n_vowels)
+    bundles = {c: tuple(rng.choice(labels) for labels in VECTOR_LABELS) for c in cons}
+    phonemes = [Phoneme(c, False) for c in cons] + [Phoneme(v, True) for v in vowels]
+    return Inventory(phonemes, FeatureSystem(mode="vector", bundles=bundles))
+
+
 def random_word(rng, inv, max_syllables=3, invalid_rate=0.1):
     if rng.random() < invalid_rate:
         # deliberately broken: vowel-initial, hiatus, overlong cluster, or no vowel
@@ -65,7 +83,7 @@ def random_lexicon(rng, inv, max_words=200):
     return Lexicon(entries, inv)
 
 
-def make_case(seed, max_words=200):
+def make_case(seed, max_words=200, mode="pair-list"):
     rng = random.Random(seed)
-    inv = random_inventory(rng)
+    inv = random_inventory(rng) if mode == "pair-list" else random_vector_inventory(rng)
     return inv, random_lexicon(rng, inv, max_words=max_words)

@@ -165,8 +165,8 @@ def test_criterion_5_counting(persian, fixture_lexicon):
     # worked example: freqs 200 and 300 -> the voice cell at "_and" gains 200
     table = SequenceTable()
     for seq, n in ((tuple("band"), 200), (tuple("pand"), 300)):
-        for i in range(n):
-            table.add(seq, ("w", seq, i))
+        for _ in range(n):
+            table.add(seq)
     cfg = StudyConfig(kind="positions")
     pairs = enumerate_minimal_sequence_pairs(table, persian, cfg)
     matrix = count_contrasts(pairs, cfg)

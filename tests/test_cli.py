@@ -163,3 +163,49 @@ def test_determinism_csv_and_svg(capsys, inv_path, lex_path):
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+
+def test_unknown_symbol_is_a_validation_error(capsys, inv_path, tmp_path):
+    # From a file, a symbol outside the inventory stops the tokenizer; the
+    # Lexicon constructor rejects the same for entries built in code.
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("w\tbaXd\n", encoding="utf-8")
+    code, _, err = run(
+        capsys,
+        ["analyze", "--inventory", inv_path, "--lexicon", str(bad),
+         "--study", "clusters", "--strict"],
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "'X'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_list_pairs_limit_below_one(capsys, inv_path, lex_path, limit):
+    code, out, err = run(
+        capsys,
+        ["list-pairs", "--inventory", inv_path, "--lexicon", lex_path,
+         "--study", "clusters", "--feature", "voice", "--context", "_n",
+         "--limit", limit],
+    )
+    assert code == 2 and out == ""
+    assert "limit must be at least 1" in err
+
+
+def test_inventory_with_bom(capsys, inv_path, tmp_path):
+    bom = tmp_path / "bom.inv"
+    bom.write_text("\ufeff" + data.persian_inventory_text(), encoding="utf-8")
+    expected = run(capsys, ["pairs", "--inventory", inv_path])
+    assert expected[0] == 0
+    assert run(capsys, ["pairs", "--inventory", str(bom)]) == expected
+
+
+def test_lexicon_with_bom(capsys, inv_path, tmp_path):
+    bom = tmp_path / "bom.tsv"
+    bom.write_text("\ufeffhosn\thosn\nhozn\thozn\n", encoding="utf-8")
+    code, out, _ = run(
+        capsys,
+        ["list-pairs", "--inventory", inv_path, "--lexicon", str(bom),
+         "--study", "clusters", "--feature", "voice", "--context", "_n"],
+    )
+    assert code == 0
+    assert out.endswith("\t(hosn, hozn)\n")

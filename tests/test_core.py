@@ -20,8 +20,8 @@ from ptrac.core import MinimalSequencePair, SequenceTable
 def table_of(freqs):
     t = SequenceTable()
     for seq, n in freqs.items():
-        for i in range(n):
-            t.add(tuple(seq), ("synthetic", seq, i))
+        for _ in range(n):
+            t.add(tuple(seq))
     return t
 
 
@@ -240,3 +240,12 @@ def test_list_pairs_drilldown(fixture_lexicon, persian):
     assert ("satr", "sadr") in all_wit or ("sadr", "satr") in all_wit
 
     assert list_pairs_for(report.pairs, "voice", "_b", fixture_lexicon, persian, cfg) == []
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_list_pairs_rejects_limit_below_one(fixture_lexicon, persian, limit):
+    cfg = StudyConfig()
+    report = run_study(fixture_lexicon, persian, cfg)
+    with pytest.raises(StudyError, match="limit"):
+        list_pairs_for(report.pairs, "voice", "_n", fixture_lexicon, persian, cfg,
+                       limit=limit)

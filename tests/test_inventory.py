@@ -164,3 +164,41 @@ def test_class_map_defaults_and_override(persian):
         "[phonemes]\nm consonant\na vowel\n[pairs]\n[classes]\nm obstruent\n"
     )
     assert inv.class_map["m"] == "obstruent"
+
+
+def _assert_relation_table(inv):
+    for a in inv.consonants:
+        for b in inv.consonants:
+            assert inv.relation[a].get(b) == contrasting_feature(inv, a, b), (a, b)
+    assert set(inv.relation) == set(inv.consonants)
+
+
+def test_relation_table_pair_list(persian):
+    _assert_relation_table(persian)
+
+
+def test_relation_table_vector():
+    _assert_relation_table(parse_inventory(VECTOR_INV))
+
+
+@pytest.mark.parametrize("mode", ["pair-list", "vector"])
+@pytest.mark.parametrize("seed", range(10))
+def test_relation_table_random(seed, mode):
+    from randlex import make_case
+
+    inv, _ = make_case(seed, max_words=1, mode=mode)
+    _assert_relation_table(inv)
+
+
+def test_vowel_map(persian):
+    assert persian.vowel_map == {s: p.is_vowel for s, p in persian.phonemes.items()}
+    assert sorted(s for s, v in persian.vowel_map.items() if v) == persian.vowels
+
+
+def test_empty_symbol_rejected_by_constructor():
+    from ptrac import Inventory
+    from ptrac.inventory import FeatureSystem, Phoneme
+
+    with pytest.raises(InventoryError, match="empty"):
+        Inventory([Phoneme("", False), Phoneme("b", False), Phoneme("a", True)],
+                  FeatureSystem(mode="pair-list"))

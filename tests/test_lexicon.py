@@ -106,3 +106,76 @@ def test_round_trip(persian):
 def test_tokenize_inverts_join(persian, symbols):
     text = "".join(symbols)
     assert tokenize_transcription(text, persian) == tuple(symbols)
+
+
+def _reference_tokenize(text, inv):
+    """Naive greedy longest match: at each offset, try every symbol
+    longest first, reading a "?" slice as the glottal stop."""
+    from ptrac.inventory import normalize_symbol
+
+    if not text:
+        raise TokenizeError("empty transcription", offset=0, fragment="")
+    symbols = sorted(inv.phonemes, key=len, reverse=True)
+    out = []
+    i = 0
+    while i < len(text):
+        for sym in symbols:
+            cand = normalize_symbol(text[i:i + len(sym)])
+            if cand == sym:
+                out.append(sym)
+                i += len(sym)
+                break
+        else:
+            frag = text[i]
+            raise TokenizeError(
+                "no inventory symbol matches %r at offset %d" % (frag, i),
+                offset=i,
+                fragment=frag,
+            )
+    return tuple(out)
+
+
+# Regex metacharacters, the glottal stop and its "?" alias, and letters.
+HOSTILE = "ab.*(\\|['?"
+
+
+@st.composite
+def alphabet_and_text(draw):
+    from ptrac import Inventory
+    from ptrac.inventory import FeatureSystem, Phoneme
+
+    symbols = draw(st.lists(st.text(HOSTILE, min_size=1, max_size=3),
+                            min_size=2, max_size=8, unique=True))
+    n_cons = draw(st.integers(1, len(symbols) - 1))
+    inv = Inventory(
+        [Phoneme(s, i >= n_cons) for i, s in enumerate(symbols)],
+        FeatureSystem(mode="pair-list"),
+    )
+    text = draw(st.one_of(
+        st.lists(st.sampled_from(symbols + ["?"]), min_size=1, max_size=8).map("".join),
+        st.text(HOSTILE + "x", max_size=10),
+    ))
+    return inv, text
+
+
+def _outcome(tokenize, text, inv):
+    try:
+        return tokenize(text, inv)
+    except TokenizeError as exc:
+        return ("error", str(exc), exc.offset, exc.fragment)
+
+
+@given(alphabet_and_text())
+def test_tokenize_matches_reference(case):
+    inv, text = case
+    assert _outcome(tokenize_transcription, text, inv) == _outcome(_reference_tokenize, text, inv)
+
+
+def test_lexicon_rejects_unknown_symbol(persian):
+    from ptrac import LexEntry, Lexicon, PtracError
+
+    with pytest.raises(PtracError, match=r"'5', 'X'.*'w2'"):
+        Lexicon([LexEntry("w1", ("b", "a", "n", "d")), LexEntry("w2", ("b", "a", "5")),
+                 LexEntry("w3", ("X", "a"))], persian)
+    with pytest.raises(LexiconError):
+        Lexicon([LexEntry("w", ("b", "a", "nd"))], persian)

@@ -58,9 +58,7 @@ def test_oracle_guard(persian, monkeypatch):
         oracle_matrix(lex, persian, StudyConfig())
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_oracle_agreement_randomized(seed):
-    inv, lex = make_case(seed)
+def assert_engine_matches_oracle(inv, lex, seed):
     for kind, weighting, orientation in COMBOS:
         cfg = StudyConfig(kind=kind, weighting=weighting, orientation=orientation)
         assert_matrices_equal(
@@ -68,3 +66,16 @@ def test_oracle_agreement_randomized(seed):
             oracle_matrix(lex, inv, cfg),
             label=(seed, kind, weighting, orientation),
         )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_oracle_agreement_randomized(seed):
+    inv, lex = make_case(seed)
+    assert_engine_matches_oracle(inv, lex, seed)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_oracle_agreement_randomized_vector(seed):
+    inv, lex = make_case(seed, mode="vector")
+    assert inv.feature_system.mode == "vector"
+    assert_engine_matches_oracle(inv, lex, seed)
