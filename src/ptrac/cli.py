@@ -19,7 +19,7 @@ from .core import (
     list_pairs_for,
     run_study,
 )
-from .errors import PtracError
+from .errors import PtracError, StudyError
 from .inventory import FEATURES, parse_inventory, featural_pairs
 from .lexicon import parse_lexicon, tokenize_transcription
 from .oracle import oracle_matrix
@@ -149,7 +149,7 @@ def _cmd_analyze(args):
     for ex in excluded:
         print("warning: entry %d (%s) excluded: %s"
               % (ex.index, ex.orthography, ex.reason), file=sys.stderr)
-    spec = RenderSpec(format=args.format, scheme=args.aggregate, out=args.out)
+    spec = RenderSpec(format=args.format, scheme=args.aggregate)
     meta = {"diagnostics": len(diags) + len(excluded),
             "weighting": cfg.weighting, "orientation": cfg.orientation}
     _emit(render(matrix, spec, inv=inv, meta=meta), args.out)
@@ -157,6 +157,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_list_pairs(args):
+    if args.limit < 1:
+        raise StudyError("limit must be at least 1, got %d" % args.limit)
     inv = _load_inventory(args.inventory)
     lex, diags = parse_lexicon(_read(args.lexicon), inv)
     for d in diags:

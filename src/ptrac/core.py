@@ -22,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PtracError, StudyError
-from .inventory import FEATURES, Inventory
+from .inventory import FEATURES, HOLE, Inventory
 from .lexicon import Lexicon
 from .syllabifier import syllabify
-
-HOLE = "_"
 
 KINDS = ("clusters", "positions")
 WEIGHTINGS = ("type-frequency", "unweighted")
@@ -40,7 +38,6 @@ class StudyConfig:
     weighting: str = "type-frequency"
     orientation: str = "unordered"
     feature: str = None  # optional filter
-    context: str = None  # optional frame filter
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -78,9 +75,13 @@ class MinimalSequencePair:
     seq_a: tuple
     seq_b: tuple
     position: int
-    frame: str
     feature: str
     weight: int  # min(freq(seq_a), freq(seq_b))
+
+    @property
+    def frame(self) -> str:
+        """The pair's frame as rendered text, e.g. "_and"."""
+        return context_text(frame_of(self.seq_a, self.position))
 
 
 @dataclass
@@ -91,18 +92,17 @@ class Cell:
 
 @dataclass
 class ContrastMatrix:
-    """Grid of contrast counts indexed by (context key, feature)."""
+    """Grid of contrast counts indexed by (context key, feature); the keys
+    are those of `context_key`, frame tuples under the frame scheme."""
 
     cells: dict = field(default_factory=dict)  # (context, feature) -> Cell
     features: tuple = FEATURES
     scheme: str = "frame"
     kind: str = "clusters"
-    # frame-scheme matrices keep structure for later aggregation:
-    # frame string -> (sequence tuple, hole position)
-    frame_info: dict = field(default_factory=dict)
 
     def contexts(self):
-        return sorted({ctx for ctx, _ in self.cells})
+        """Context keys in the order of their rendered text."""
+        return sorted({ctx for ctx, _ in self.cells}, key=lambda c: (context_text(c), c))
 
     def cell(self, context, feature) -> Cell:
         return self.cells.get((context, feature), Cell())
@@ -121,8 +121,33 @@ class ContrastMatrix:
         )
 
 
-def frame_of(seq, position) -> str:
-    return "".join(HOLE if i == position else s for i, s in enumerate(seq))
+def frame_of(seq, position) -> tuple:
+    """The sequence with HOLE at `position`."""
+    return seq[:position] + (HOLE,) + seq[position + 1:]
+
+
+def context_key(frame, scheme: str, inv: Inventory = None):
+    """Context of a frame under an aggregation scheme, or None if it has
+    none: following-segment and following-class (which needs `inv`) key on
+    the segment after the hole, position maps C V C C holes to C1/C2/C3."""
+    if scheme == "frame":
+        return frame
+    if scheme == "total":
+        return "total"
+    pos = frame.index(HOLE)
+    if scheme == "position":
+        return "C%d" % (1 if pos == 0 else pos)
+    if pos + 1 == len(frame):
+        return None
+    nxt = frame[pos + 1]
+    if scheme == "following-segment":
+        return HOLE + nxt
+    return None if inv.is_vowel(nxt) else inv.class_map[nxt]
+
+
+def context_text(key) -> str:
+    """Text of a context key: a frame's symbols joined; other keys are text."""
+    return "".join(key)
 
 
 def entry_sequences(entry, inv: Inventory, kind: str):
@@ -168,10 +193,11 @@ def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: 
         for pos, sym in enumerate(seq):
             if is_vowel[sym]:
                 continue
-            buckets.setdefault((frame_of(seq, pos), pos, len(seq)), []).append(seq)
+            buckets.setdefault(frame_of(seq, pos), []).append(seq)
 
     pairs = []
-    for (frame, pos, _), seqs in sorted(buckets.items()):
+    for frame, seqs in buckets.items():
+        pos = frame.index(HOLE)
         seqs.sort()
         for i, a in enumerate(seqs):
             neighbours = inv.relation[a[pos]]
@@ -181,12 +207,10 @@ def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: 
                     continue
                 if cfg.feature is not None and feature != cfg.feature:
                     continue
-                if cfg.context is not None and frame != cfg.context:
-                    continue
                 weight = min(table.freqs[a], table.freqs[b])
-                pairs.append(MinimalSequencePair(a, b, pos, frame, feature, weight))
+                pairs.append(MinimalSequencePair(a, b, pos, feature, weight))
                 if cfg.orientation == "ordered":
-                    pairs.append(MinimalSequencePair(b, a, pos, frame, feature, weight))
+                    pairs.append(MinimalSequencePair(b, a, pos, feature, weight))
     pairs.sort(key=lambda p: (p.seq_a, p.seq_b, p.position))
     return pairs
 
@@ -196,29 +220,18 @@ def count_contrasts(pairs, cfg: StudyConfig) -> ContrastMatrix:
     features = (cfg.feature,) if cfg.feature else FEATURES
     matrix = ContrastMatrix(features=features, scheme="frame", kind=cfg.kind)
     for p in pairs:
-        matrix.add(p.frame, p.feature, p.weight if cfg.weighting == "type-frequency" else 1)
-        matrix.frame_info.setdefault(p.frame, (p.seq_a, p.position))
+        matrix.add(frame_of(p.seq_a, p.position), p.feature,
+                   p.weight if cfg.weighting == "type-frequency" else 1)
     return matrix
 
 
 def aggregate(matrix: ContrastMatrix, scheme: str, inv: Inventory = None) -> ContrastMatrix:
-    """Merge frame contexts under an aggregation scheme (sum-preserving
-    over the frames each scheme covers).
-
-    following-segment keys frames by the segment after the hole; frames
-    with a sequence-final hole have none and are dropped. following-class
-    additionally maps that segment to its consonant class and needs `inv`.
-    position renders the hole index as C1/C2/C3 (positions study only).
-    """
+    """Merge frame contexts under an aggregation scheme (see `context_key`);
+    sum-preserving over the frames the scheme covers."""
     if scheme not in SCHEMES:
         raise StudyError("unknown aggregation scheme %r" % scheme)
     if matrix.scheme != "frame":
         raise StudyError("matrix already aggregated (%s)" % matrix.scheme)
-    if scheme == "frame":
-        out = ContrastMatrix(features=matrix.features, scheme="frame", kind=matrix.kind)
-        out.cells = {k: Cell(c.weighted, c.pairs) for k, c in matrix.cells.items()}
-        out.frame_info = dict(matrix.frame_info)
-        return out
     if scheme == "position" and matrix.kind != "positions":
         raise StudyError("position scheme requires a positions study")
     if scheme == "following-class" and inv is None:
@@ -226,22 +239,9 @@ def aggregate(matrix: ContrastMatrix, scheme: str, inv: Inventory = None) -> Con
 
     out = ContrastMatrix(features=matrix.features, scheme=scheme, kind=matrix.kind)
     for (frame, feature), cell in matrix.cells.items():
-        seq, pos = matrix.frame_info[frame]
-        if scheme == "total":
-            key = "total"
-        elif scheme == "position":
-            # C V C C positions 0/2/3 -> C1/C2/C3 (vowel is never a hole)
-            key = "C%d" % (1 if pos == 0 else pos)
-        else:
-            if pos + 1 >= len(seq):
-                continue  # sequence-final hole: no following segment
-            nxt = seq[pos + 1]
-            if scheme == "following-segment":
-                key = HOLE + nxt
-            else:  # following-class: consonant classes only
-                if inv.is_vowel(nxt):
-                    continue
-                key = inv.class_map[nxt]
+        key = context_key(frame, scheme, inv)
+        if key is None:
+            continue
         tgt = out.cells.setdefault((key, feature), Cell())
         tgt.weighted += cell.weighted
         tgt.pairs += cell.pairs
@@ -274,25 +274,13 @@ def list_pairs_for(pairs, feature, context, lex: Lexicon, inv: Inventory,
         for seq in seqs:
             words_by_seq.setdefault(seq, []).append(entry)
 
-    def ctx_key(p):
-        if scheme == "frame":
-            return p.frame
-        if scheme == "total":
-            return "total"
-        if scheme == "position":
-            return "C%d" % (1 if p.position == 0 else p.position)
-        if p.position + 1 >= len(p.seq_a):
-            return None
-        nxt = p.seq_a[p.position + 1]
-        if scheme == "following-segment":
-            return HOLE + nxt
-        return None if inv.is_vowel(nxt) else inv.class_map[nxt]
-
     rows = []
     for p in pairs:
-        if p.feature != feature or ctx_key(p) != context:
+        if p.feature != feature:
             continue
-        rows.append(PairReportRow(p, _witnesses(p, words_by_seq, limit)))
+        key = context_key(frame_of(p.seq_a, p.position), scheme, inv)
+        if key is not None and context_text(key) == context:
+            rows.append(PairReportRow(p, _witnesses(p, words_by_seq, limit)))
     return rows
 
 
@@ -302,6 +290,7 @@ def _witnesses(pair, words_by_seq, limit):
     the first carriers of each sequence."""
     wa = words_by_seq.get(pair.seq_a, [])
     wb = words_by_seq.get(pair.seq_b, [])
+    contrast = {pair.seq_a[pair.position], pair.seq_b[pair.position]}
     aligned = []
     for ea in wa:
         for eb in wb:
@@ -309,13 +298,13 @@ def _witnesses(pair, words_by_seq, limit):
             if len(ta) != len(tb):
                 continue
             diffs = [i for i in range(len(ta)) if ta[i] != tb[i]]
-            if len(diffs) == 1 and {ta[diffs[0]], tb[diffs[0]]} == {
-                pair.seq_a[pair.position], pair.seq_b[pair.position]
-            }:
+            if len(diffs) == 1 and {ta[diffs[0]], tb[diffs[0]]} == contrast:
                 aligned.append((ea.orthography, eb.orthography))
+                if len(aligned) == limit:
+                    return tuple(aligned)
     if not aligned and wa and wb:
         aligned = [(wa[0].orthography, wb[0].orthography)]
-    return tuple(aligned[:limit])
+    return tuple(aligned)
 
 
 @dataclass

@@ -33,6 +33,8 @@ DEFAULT_CLASS_MAP = {
     "y": "glide",
 }
 
+HOLE = "_"  # marks the differing position of a frame; no symbol contains it
+
 # "?" is accepted as an alias for the glottal stop and normalized away.
 GLOTTAL = "'"
 GLOTTAL_ALIAS = "?"
@@ -100,8 +102,9 @@ class Inventory:
     def _validate(self):
         if not self.consonants or not self.vowels:
             raise InventoryError("inventory needs at least one consonant and one vowel")
-        if "" in self.phonemes:
-            raise InventoryError("empty phoneme symbol")
+        for sym in self.phonemes:
+            if not sym or HOLE in sym:
+                raise InventoryError("symbol %r is empty or contains %r" % (sym, HOLE))
         fs = self.feature_system
         if fs.mode == "pair-list":
             for pair in fs.pair_relation:
@@ -196,7 +199,7 @@ def parse_inventory(text: str) -> Inventory:
             if len(fields) != 2 or fields[1] not in ("consonant", "vowel"):
                 raise InventoryError("expected '<symbol> <consonant|vowel>'", line=no)
             sym = normalize_symbol(fields[0])
-            if any(ch in sym for ch in ("#", "_")) or not sym:
+            if HOLE in sym:
                 raise InventoryError("illegal symbol %r" % fields[0], line=no)
             if sym in seen:
                 raise InventoryError(

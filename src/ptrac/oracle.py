@@ -95,9 +95,7 @@ def oracle_matrix(lex: Lexicon, inv: Inventory, cfg: StudyConfig) -> ContrastMat
                 continue
             if cfg.feature is not None and feature != cfg.feature:
                 continue
-            frame = "".join(HOLE if i == pos else s for i, s in enumerate(a))
-            if cfg.context is not None and frame != cfg.context:
-                continue
+            frame = tuple(HOLE if i == pos else s for i, s in enumerate(a))
             if cfg.weighting == "type-frequency":
                 w = freq[a] if freq[a] < freq[b] else freq[b]
             else:
@@ -105,5 +103,4 @@ def oracle_matrix(lex: Lexicon, inv: Inventory, cfg: StudyConfig) -> ContrastMat
             cell = matrix.cells.setdefault((frame, feature), Cell())
             cell.weighted += w
             cell.pairs += 1
-            matrix.frame_info.setdefault(frame, (a, pos))
     return matrix

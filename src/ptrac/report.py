@@ -5,11 +5,13 @@ All renderers are byte-deterministic for a given matrix and spec.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 
 from . import __version__
-from .core import ContrastMatrix, SCHEMES, aggregate
+from .core import ContrastMatrix, SCHEMES, aggregate, context_text
 from .errors import StudyError
 
 FORMATS = ("csv", "json", "markdown", "svg")
@@ -23,7 +25,6 @@ FEATURE_COLORS = {"manner": "#4e79a7", "place": "#f28e2b", "voice": "#e15759"}
 class RenderSpec:
     format: str = "csv"
     scheme: str = "frame"
-    out: str = None  # None -> caller writes to stdout
 
     def __post_init__(self):
         if self.format not in FORMATS:
@@ -39,12 +40,12 @@ def _aggregated(matrix, spec, inv=None):
 
 
 def _records(matrix):
-    """(context, feature, weighted, pairs) rows; contexts lexicographic,
-    features in manner/place/voice order."""
+    """(context text, feature, weighted, pairs) rows; contexts in
+    lexicographic order of their text, features in manner/place/voice order."""
     for ctx in matrix.contexts():
         for feat in matrix.features:
             cell = matrix.cell(ctx, feat)
-            yield ctx, feat, cell.weighted, cell.pairs
+            yield context_text(ctx), feat, cell.weighted, cell.pairs
 
 
 def render_matrix(matrix: ContrastMatrix, spec: RenderSpec, inv=None,
@@ -52,9 +53,9 @@ def render_matrix(matrix: ContrastMatrix, spec: RenderSpec, inv=None,
     """Render to csv, json or markdown (use render_chart for svg)."""
     m = _aggregated(matrix, spec, inv)
     if spec.format == "csv":
-        lines = [CSV_HEADER]
-        lines += ["%s,%s,%d,%d" % rec for rec in _records(m)]
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()  # the writer quotes fields with , " or a line break (RFC 4180)
+        csv.writer(buf, lineterminator="\n").writerows([CSV_HEADER.split(","), *_records(m)])
+        return buf.getvalue()
     if spec.format == "json":
         doc = {
             "meta": {
@@ -75,7 +76,8 @@ def render_matrix(matrix: ContrastMatrix, spec: RenderSpec, inv=None,
             "| context | feature | weighted_count | pair_count |",
             "| --- | --- | --- | --- |",
         ]
-        lines += ["| %s | %s | %d | %d |" % rec for rec in _records(m)]
+        lines += ["| %s | %s | %d | %d |" % (_md_esc(ctx), feat, w, p)
+                  for ctx, feat, w, p in _records(m)]
         return "\n".join(lines) + "\n"
     raise StudyError("render_matrix does not handle %r" % spec.format)
 
@@ -130,6 +132,7 @@ def render_chart(matrix: ContrastMatrix, spec: RenderSpec, inv=None) -> str:
     )
 
     for gi, ctx in enumerate(contexts):
+        label = _esc(context_text(ctx))
         gx = margin_l + group_gap // 2 + gi * (group_w + group_gap)
         for fi, feat in enumerate(features):
             v = m.cell(ctx, feat).weighted
@@ -141,12 +144,12 @@ def render_chart(matrix: ContrastMatrix, spec: RenderSpec, inv=None) -> str:
                 '<rect x="%d" y="%.2f" width="%d" height="%.2f" fill="%s">'
                 "<title>%s %s: %d</title></rect>"
                 % (x, x_axis_y - h, bar_w, h,
-                   FEATURE_COLORS.get(feat, "#888888"), ctx, feat, v)
+                   FEATURE_COLORS.get(feat, "#888888"), label, feat, v)
             )
         parts.append(
             '<text x="%d" y="%d" font-family="sans-serif" font-size="11" '
             'text-anchor="middle">%s</text>'
-            % (gx + group_w // 2, x_axis_y + 16, _esc(ctx))
+            % (gx + group_w // 2, x_axis_y + 16, label)
         )
 
     for fi, feat in enumerate(features):
@@ -166,6 +169,11 @@ def render_chart(matrix: ContrastMatrix, spec: RenderSpec, inv=None) -> str:
 
 def _esc(text):
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _md_esc(text):
+    """Backslash-escape what would end or split a Markdown table cell."""
+    return text.replace("\\", "\\\\").replace("|", "\\|")
 
 
 def render(matrix: ContrastMatrix, spec: RenderSpec, inv=None, meta=None) -> str:

@@ -8,10 +8,17 @@ from ptrac.inventory import FEATURES, FeatureSystem, Phoneme
 CONSONANT_POOL = list("bcdfghjklmnpqrstvwxyz")
 VOWEL_POOL = list("aeiou")
 
+# Multi-character symbols whose concatenations collide ("t"+"sa" and
+# "ts"+"a" both read "tsa"), so frames that differ as symbol sequences can
+# join to the same text.
+MULTI_CONSONANT_POOL = ["t", "ts", "s", "k", "kh", "h", "p", "ph", "n", "ng", "g"]
+MULTI_VOWEL_POOL = ["a", "sa", "ha", "e", "ge", "i", "ai"]
 
-def random_inventory(rng, n_cons=8, n_vowels=3, pair_density=0.4):
-    cons = rng.sample(CONSONANT_POOL, n_cons)
-    vowels = rng.sample(VOWEL_POOL, n_vowels)
+
+def random_inventory(rng, n_cons=8, n_vowels=3, pair_density=0.4,
+                     cons_pool=CONSONANT_POOL, vowel_pool=VOWEL_POOL):
+    cons = rng.sample(cons_pool, n_cons)
+    vowels = rng.sample(vowel_pool, n_vowels)
     relation = {}
     for i, a in enumerate(cons):
         for b in cons[i + 1:]:
@@ -84,6 +91,14 @@ def random_lexicon(rng, inv, max_words=200):
 
 
 def make_case(seed, max_words=200, mode="pair-list"):
+    """mode: "pair-list" or "vector" inventories of one-letter symbols, or
+    "multichar", a pair-list inventory over the multi-character pools."""
     rng = random.Random(seed)
-    inv = random_inventory(rng) if mode == "pair-list" else random_vector_inventory(rng)
+    if mode == "pair-list":
+        inv = random_inventory(rng)
+    elif mode == "vector":
+        inv = random_vector_inventory(rng)
+    else:
+        inv = random_inventory(rng, n_cons=6, n_vowels=3, pair_density=0.6,
+                               cons_pool=MULTI_CONSONANT_POOL, vowel_pool=MULTI_VOWEL_POOL)
     return inv, random_lexicon(rng, inv, max_words=max_words)

@@ -170,8 +170,8 @@ def test_criterion_5_counting(persian, fixture_lexicon):
     cfg = StudyConfig(kind="positions")
     pairs = enumerate_minimal_sequence_pairs(table, persian, cfg)
     matrix = count_contrasts(pairs, cfg)
-    assert matrix.cell("_and", "voice").weighted == 200
-    assert matrix.cell("_and", "voice").pairs == 1
+    assert matrix.cell(tuple("_and"), "voice").weighted == 200
+    assert matrix.cell(tuple("_and"), "voice").pairs == 1
 
     for kind in ("clusters", "positions"):
         weighted = run_study(

@@ -191,6 +191,17 @@ def test_list_pairs_limit_below_one(capsys, inv_path, lex_path, limit):
     assert "limit must be at least 1" in err
 
 
+def test_list_pairs_limit_checked_before_reading_files(capsys, inv_path, tmp_path):
+    code, out, err = run(
+        capsys,
+        ["list-pairs", "--inventory", inv_path, "--lexicon", str(tmp_path / "missing.tsv"),
+         "--study", "clusters", "--feature", "voice", "--context", "_n",
+         "--limit", "0"],
+    )
+    assert code == 2 and out == ""
+    assert "limit must be at least 1" in err
+
+
 def test_inventory_with_bom(capsys, inv_path, tmp_path):
     bom = tmp_path / "bom.inv"
     bom.write_text("\ufeff" + data.persian_inventory_text(), encoding="utf-8")

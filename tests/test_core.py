@@ -99,15 +99,15 @@ def test_min_frequency_weighting(persian):
     pairs = enumerate_minimal_sequence_pairs(t, persian, cfg)
     assert len(pairs) == 1 and pairs[0].weight == 200
     matrix = count_contrasts(pairs, cfg)
-    assert matrix.cell("_and", "voice").weighted == 200
-    assert matrix.cell("_and", "voice").pairs == 1
+    assert matrix.cell(tuple("_and"), "voice").weighted == 200
+    assert matrix.cell(tuple("_and"), "voice").pairs == 1
 
 
 def test_unweighted_counts(persian):
     t = table_of({"band": 200, "pand": 300})
     cfg = StudyConfig(kind="positions", weighting="unweighted")
     matrix = count_contrasts(enumerate_minimal_sequence_pairs(t, persian, cfg), cfg)
-    assert matrix.cell("_and", "voice").weighted == 1
+    assert matrix.cell(tuple("_and"), "voice").weighted == 1
 
 
 def test_ordered_doubles_cells(fixture_lexicon, persian):
@@ -186,8 +186,8 @@ def test_three_word_position_study(persian):
     }
     # d/p differ in place and voice, so (dand, pand) is absent
     assert got == {("band", "pand"): "voice", ("band", "dand"): "place"}
-    assert report.matrix.cell("_and", "voice").pairs == 1
-    assert report.matrix.cell("_and", "place").pairs == 1
+    assert report.matrix.cell(tuple("_and"), "voice").pairs == 1
+    assert report.matrix.cell(tuple("_and"), "place").pairs == 1
 
 
 def test_frame_consistency(fixture_lexicon, persian):

@@ -202,3 +202,13 @@ def test_empty_symbol_rejected_by_constructor():
     with pytest.raises(InventoryError, match="empty"):
         Inventory([Phoneme("", False), Phoneme("b", False), Phoneme("a", True)],
                   FeatureSystem(mode="pair-list"))
+
+
+@pytest.mark.parametrize("symbol", ["_", "t_h"])
+def test_hole_symbol_rejected_by_constructor(symbol):
+    from ptrac import Inventory
+    from ptrac.inventory import FeatureSystem, Phoneme
+
+    with pytest.raises(InventoryError, match="contains"):
+        Inventory([Phoneme(symbol, False), Phoneme("b", False), Phoneme("a", True)],
+                  FeatureSystem(mode="pair-list"))

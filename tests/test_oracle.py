@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from ptrac import Lexicon, LexEntry, StudyConfig, StudyError, run_study
+from ptrac import Inventory, Lexicon, LexEntry, StudyConfig, StudyError, run_study
+from ptrac.inventory import FeatureSystem, Phoneme
 from ptrac.oracle import oracle_matrix
 from randlex import make_case
 
@@ -36,7 +37,7 @@ def test_oracle_matches_on_fixture(fixture_lexicon, persian):
 
 def test_oracle_fixture_voice_row(fixture_lexicon, persian):
     m = oracle_matrix(fixture_lexicon, persian, StudyConfig())
-    by_frame = {"_l": 2, "_m": 1, "_r": 5, "_n": 1}
+    by_frame = {tuple("_l"): 2, tuple("_m"): 1, tuple("_r"): 5, tuple("_n"): 1}
     got = {}
     for (frame, feat), cell in m.cells.items():
         if feat == "voice":
@@ -79,3 +80,33 @@ def test_oracle_agreement_randomized_vector(seed):
     inv, lex = make_case(seed, mode="vector")
     assert inv.feature_system.mode == "vector"
     assert_engine_matches_oracle(inv, lex, seed)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_oracle_agreement_randomized_multichar(seed):
+    inv, lex = make_case(seed, mode="multichar")
+    assert any(len(s) > 1 for s in inv.phonemes)
+    assert_engine_matches_oracle(inv, lex, seed)
+
+
+def test_multichar_frames_that_join_alike_stay_apart():
+    # "t"+"sa" and "ts"+"a" both read "tsa": the frames (t, sa, k, _) and
+    # (ts, a, k, _) render alike but are different contexts.
+    inv = Inventory(
+        [Phoneme(c, False) for c in ("t", "ts", "k", "g")]
+        + [Phoneme(v, True) for v in ("a", "sa")],
+        FeatureSystem(mode="pair-list", pair_relation={frozenset(("k", "g")): "voice"}),
+    )
+    words = [("t", "sa", "k", "g"), ("ts", "a", "k", "k"),
+             ("t", "sa", "k", "k"), ("ts", "a", "k", "g")]
+    lex = Lexicon([LexEntry("w%d" % i, w) for i, w in enumerate(words)], inv)
+    cfg = StudyConfig(kind="positions")
+    report = run_study(lex, inv, cfg)
+    assert {(p.seq_a, p.seq_b) for p in report.pairs} == {
+        (("t", "sa", "k", "g"), ("t", "sa", "k", "k")),
+        (("ts", "a", "k", "g"), ("ts", "a", "k", "k")),
+    }
+    assert report.matrix.same_cells(oracle_matrix(lex, inv, cfg))
+    assert sorted(report.matrix.cells) == [
+        (("t", "sa", "k", "_"), "voice"), (("ts", "a", "k", "_"), "voice"),
+    ]

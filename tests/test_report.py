@@ -1,12 +1,16 @@
 """Rendering tests: csv/json/markdown records and the SVG chart."""
 
+import csv
+import io
 import json
+import xml.dom.minidom
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from ptrac import Lexicon, LexEntry, StudyConfig, StudyError, run_study
-from ptrac.core import ContrastMatrix
+from ptrac import Inventory, Lexicon, LexEntry, StudyConfig, StudyError, aggregate, run_study
+from ptrac.core import ContrastMatrix, context_text
+from ptrac.inventory import FeatureSystem, Phoneme
 from ptrac.report import CSV_HEADER, RenderSpec, render_chart, render_matrix
 
 
@@ -114,9 +118,7 @@ def test_svg_single_position_group(persian):
 def test_svg_column_limit(persian):
     m = ContrastMatrix()
     for i in range(65):
-        ctx = "_x%02d" % i
-        m.add(ctx, "voice", 1)
-        m.frame_info[ctx] = (("x", "y"), 0)
+        m.add(("_", "x%02d" % i), "voice", 1)
     with pytest.raises(StudyError, match="limit"):
         render_chart(m, RenderSpec("svg", "frame"))
 
@@ -124,3 +126,70 @@ def test_svg_column_limit(persian):
 def test_bad_format_rejected():
     with pytest.raises(StudyError):
         RenderSpec("pdf")
+
+
+HOSTILE = (",", "<", "|", "&", '"', "\\")
+
+
+@pytest.fixture(scope="module")
+def hostile_matrix():
+    """Cluster study whose frames are made of symbols that CSV, SVG and
+    Markdown treat specially."""
+    inv = Inventory(
+        [Phoneme(c, False) for c in HOSTILE + ("b",)] + [Phoneme("a", True)],
+        FeatureSystem(mode="pair-list",
+                      pair_relation={frozenset(("b", c)): "voice" for c in HOSTILE}),
+    )
+    words = [("b", "a", c, d) for c in HOSTILE + ("b",) for d in HOSTILE + ("b",)]
+    lex = Lexicon([LexEntry("w%d" % i, w) for i, w in enumerate(words)], inv)
+    return run_study(lex, inv, StudyConfig(feature="voice")).matrix
+
+
+def _expected_records(matrix):
+    return [(context_text(c), "voice", matrix.cell(c, "voice").weighted,
+             matrix.cell(c, "voice").pairs) for c in matrix.contexts()]
+
+
+def test_csv_reads_back_with_hostile_symbols(hostile_matrix):
+    rows = list(csv.reader(io.StringIO(render_matrix(hostile_matrix, RenderSpec("csv")),
+                                       newline="")))
+    assert rows[0] == CSV_HEADER.split(",")
+    got = [(c, f, int(w), int(p)) for c, f, w, p in rows[1:]]
+    assert got == _expected_records(hostile_matrix)
+    assert {c for c, *_ in got} >= {h + "_" for h in HOSTILE} | {"_" + h for h in HOSTILE}
+
+
+def test_json_reads_back_with_hostile_symbols(hostile_matrix):
+    doc = json.loads(render_matrix(hostile_matrix, RenderSpec("json")))
+    got = [(r["context"], r["feature"], r["weighted_count"], r["pair_count"])
+           for r in doc["records"]]
+    assert got == _expected_records(hostile_matrix)
+
+
+def _markdown_cells(line):
+    """Split a Markdown table row on unescaped pipes, undoing escapes."""
+    cells, cur, chars = [], "", iter(line.strip()[1:-1])
+    for ch in chars:
+        if ch == "\\":
+            cur += next(chars)
+        elif ch == "|":
+            cells.append(cur.strip())
+            cur = ""
+        else:
+            cur += ch
+    return cells + [cur.strip()]
+
+
+def test_markdown_reads_back_with_hostile_symbols(hostile_matrix):
+    lines = render_matrix(hostile_matrix, RenderSpec("markdown")).splitlines()
+    got = [tuple(_markdown_cells(l)) for l in lines[2:]]
+    assert got == [(c, f, str(w), str(p)) for c, f, w, p in _expected_records(hostile_matrix)]
+
+
+def test_svg_parses_with_hostile_symbols(hostile_matrix):
+    agg = aggregate(hostile_matrix, "following-segment")
+    out = render_chart(agg, RenderSpec("svg", "following-segment"))
+    doc = xml.dom.minidom.parseString(out.encode("utf-8"))
+    titles = [t.firstChild.data for t in doc.getElementsByTagName("title")]
+    assert titles == ["_%s voice: %d" % (h, agg.cell("_" + h, "voice").weighted)
+                      for h in sorted(HOSTILE + ("b",))]
