@@ -154,7 +154,7 @@ def entry_sequences(entry, inv: Inventory, kind: str):
     """Study sequences contributed by one lexicon entry (may raise)."""
     out = []
     for syl in syllabify(entry.transcription, inv):
-        if syl.shape != "CVCC":
+        if len(syl.coda) != 2:  # not CVCC
             continue
         out.append(syl.coda if kind == "clusters" else syl.segments)
     return out
@@ -285,23 +285,31 @@ def list_pairs_for(pairs, feature, context, lex: Lexicon, inv: Inventory,
 
 
 def _witnesses(pair, words_by_seq, limit):
-    """Witness word pairs: prefer words whose transcriptions themselves
-    differ only at the pair's contrasting segment; otherwise fall back to
-    the first carriers of each sequence."""
+    """Witness word pairs: words whose transcriptions differ only at the
+    pair's contrasting segment, at most `limit`, ordered by the carrier of
+    seq_a, then by the carrier of seq_b; without any, the first carriers of
+    each sequence. Found by neighbour lookup: each carrier of seq_a with
+    one contrasting symbol swapped for the other, looked up among the
+    carriers of seq_b by transcription."""
     wa = words_by_seq.get(pair.seq_a, [])
     wb = words_by_seq.get(pair.seq_b, [])
-    contrast = {pair.seq_a[pair.position], pair.seq_b[pair.position]}
+    a, b = pair.seq_a[pair.position], pair.seq_b[pair.position]
+    swap = {a: b, b: a}
+    carriers_b = {}  # transcription -> indices in wb
+    for j, eb in enumerate(wb):
+        carriers_b.setdefault(eb.transcription, []).append(j)
     aligned = []
     for ea in wa:
-        for eb in wb:
-            ta, tb = ea.transcription, eb.transcription
-            if len(ta) != len(tb):
-                continue
-            diffs = [i for i in range(len(ta)) if ta[i] != tb[i]]
-            if len(diffs) == 1 and {ta[diffs[0]], tb[diffs[0]]} == contrast:
-                aligned.append((ea.orthography, eb.orthography))
-                if len(aligned) == limit:
-                    return tuple(aligned)
+        ta = ea.transcription
+        hits = []
+        for i, sym in enumerate(ta):
+            if sym in swap:
+                hits += carriers_b.get(ta[:i] + (swap[sym],) + ta[i + 1:], ())
+        hits.sort()  # wb order, across the swapped positions
+        for j in hits:
+            aligned.append((ea.orthography, wb[j].orthography))
+            if len(aligned) == limit:
+                return tuple(aligned)
     if not aligned and wa and wb:
         aligned = [(wa[0].orthography, wb[0].orthography)]
     return tuple(aligned)

@@ -44,6 +44,12 @@ def normalize_symbol(symbol: str) -> str:
     return GLOTTAL if symbol == GLOTTAL_ALIAS else symbol
 
 
+# Unicode category Cc (control) is exactly these two ranges. SVG output
+# could not carry such a symbol: XML 1.0 forbids most of them even as
+# character references.
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
+
+
 @dataclass(frozen=True)
 class Phoneme:
     symbol: str
@@ -105,6 +111,8 @@ class Inventory:
         for sym in self.phonemes:
             if not sym or HOLE in sym:
                 raise InventoryError("symbol %r is empty or contains %r" % (sym, HOLE))
+            if _CONTROL.search(sym):
+                raise InventoryError("symbol %r contains a control character" % sym)
         fs = self.feature_system
         if fs.mode == "pair-list":
             for pair in fs.pair_relation:
@@ -201,6 +209,8 @@ def parse_inventory(text: str) -> Inventory:
             sym = normalize_symbol(fields[0])
             if HOLE in sym:
                 raise InventoryError("illegal symbol %r" % fields[0], line=no)
+            if _CONTROL.search(sym):
+                raise InventoryError("symbol %r contains a control character" % sym, line=no)
             if sym in seen:
                 raise InventoryError(
                     "duplicate symbol %r (first defined on line %d)" % (sym, seen[sym]),

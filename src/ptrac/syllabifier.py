@@ -11,14 +11,16 @@ lack a vowel are hard errors, never repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SyllabifyError
 from .inventory import Inventory
 
 
-@dataclass(frozen=True)
-class Syllable:
+class Syllable(NamedTuple):
+    """One syllable; a named tuple, so it equals the plain tuple
+    ``(onset, nucleus, coda)``."""
+
     onset: str
     nucleus: str
     coda: tuple
@@ -73,7 +75,7 @@ def syllabify(seq, inv: Inventory):
                 % ("".join(coda), v),
                 reason="coda-too-long",
             )
-        syllables.append(Syllable(onset=seq[v - 1], nucleus=seq[v], coda=coda))
+        syllables.append(Syllable(seq[v - 1], seq[v], coda))
     return syllables
 
 

@@ -191,6 +191,21 @@ def test_list_pairs_limit_below_one(capsys, inv_path, lex_path, limit):
     assert "limit must be at least 1" in err
 
 
+def test_control_character_in_inventory_is_a_validation_error(capsys, lex_path, tmp_path):
+    # XML 1.0 cannot carry U+0001 even escaped, so such a symbol would
+    # make the SVG unparseable; the inventory is rejected instead.
+    bad = tmp_path / "ctrl.inv"
+    bad.write_text(data.persian_inventory_text() + "[phonemes]\nb\x01 consonant\n",
+                   encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        ["analyze", "--inventory", str(bad), "--lexicon", lex_path,
+         "--study", "clusters", "--format", "svg"],
+    )
+    assert code == 2 and out == ""
+    assert "control character" in err and "Traceback" not in err
+
+
 def test_list_pairs_limit_checked_before_reading_files(capsys, inv_path, tmp_path):
     code, out, err = run(
         capsys,

@@ -212,3 +212,26 @@ def test_hole_symbol_rejected_by_constructor(symbol):
     with pytest.raises(InventoryError, match="contains"):
         Inventory([Phoneme(symbol, False), Phoneme("b", False), Phoneme("a", True)],
                   FeatureSystem(mode="pair-list"))
+
+
+CONTROL_SYMBOLS = ["b\x01", "\x7fb", "\x00", "t\x9f"]
+
+
+@pytest.mark.parametrize("symbol", CONTROL_SYMBOLS)
+def test_control_character_symbol_rejected_by_constructor(symbol):
+    from ptrac import Inventory
+    from ptrac.inventory import FeatureSystem, Phoneme
+
+    with pytest.raises(InventoryError, match="control character") as exc:
+        Inventory([Phoneme(symbol, False), Phoneme("b", False), Phoneme("a", True)],
+                  FeatureSystem(mode="pair-list"))
+    assert exc.value.line is None
+
+
+@pytest.mark.parametrize("symbol", CONTROL_SYMBOLS)
+def test_control_character_symbol_rejected_from_file(symbol):
+    text = "[phonemes]\nb consonant\n%s consonant\na vowel\n[pairs]\n" % symbol
+    with pytest.raises(InventoryError, match="control character") as exc:
+        parse_inventory(text)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith("line 3: ")

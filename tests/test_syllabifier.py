@@ -128,3 +128,19 @@ def test_reconstruction_random_syllables(persian, onset_pad, vowel, coda):
 def test_determinism(persian):
     seq = ("s", "a", "t", "r", "h", "a")
     assert syllabify(seq, persian) == syllabify(seq, persian)
+
+
+def test_syllable_is_a_named_tuple(persian):
+    from ptrac import Syllable
+
+    assert Syllable._fields == ("onset", "nucleus", "coda")
+    syls = syllabify(tuple("satrha"), persian)
+    assert syls == [Syllable("s", "a", ("t", "r")), Syllable("h", "a", ())]
+    s, h = syls
+    assert (s.shape, h.shape) == ("CVCC", "CV")
+    assert s.segments == ("s", "a", "t", "r") and h.segments == ("h", "a")
+    assert (str(s), str(h)) == ("satr", "ha")
+    assert format_syllables(syls) == "satr.ha"
+    assert Syllable("b", "a", ("n",)).shape == "CVC"
+    # a named tuple equals (and hashes as) the plain tuple of its fields
+    assert s == ("s", "a", ("t", "r")) and hash(s) == hash(("s", "a", ("t", "r")))
