@@ -20,6 +20,7 @@ word types in the lexicon (duplicate words contribute separately).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import PtracError, StudyError
 from .inventory import FEATURES, HOLE, Inventory
@@ -70,8 +71,7 @@ class ExcludedEntry:
     reason: str
 
 
-@dataclass(frozen=True)
-class MinimalSequencePair:
+class MinimalSequencePair(NamedTuple):
     seq_a: tuple
     seq_b: tuple
     position: int
@@ -107,10 +107,12 @@ class ContrastMatrix:
     def cell(self, context, feature) -> Cell:
         return self.cells.get((context, feature), Cell())
 
-    def add(self, context, feature, weight):
-        cell = self.cells.setdefault((context, feature), Cell())
-        cell.weighted += weight
-        cell.pairs += 1
+    def add(self, context, feature, weighted, pairs=1):
+        cell = self.cells.get((context, feature))
+        if cell is None:
+            cell = self.cells[context, feature] = Cell()
+        cell.weighted += weighted
+        cell.pairs += pairs
 
     def same_cells(self, other) -> bool:
         keys = set(self.cells) | set(other.cells)
@@ -178,40 +180,38 @@ def extract_sequences(lex: Lexicon, inv: Inventory, cfg: StudyConfig):
 
 
 def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: StudyConfig):
-    """All minimal sequence pairs among the table's sequences.
+    """All minimal sequence pairs among the table's sequences, ordered by
+    (seq_a, seq_b, position).
 
     Sequences pair up iff they have equal length and differ at exactly one
     position whose two segments are consonants contrasting in exactly one
     feature. Unordered orientation emits each pair once (lexicographically
     smaller member first); ordered emits both orientations.
     """
-    # Bucket by frame: two sequences differ at exactly one position iff
-    # they share exactly one frame, so buckets cover every pair once.
-    is_vowel = inv.vowel_map
-    buckets = {}
-    for seq in table.freqs:
-        for pos, sym in enumerate(seq):
-            if is_vowel[sym]:
-                continue
-            buckets.setdefault(frame_of(seq, pos), []).append(seq)
-
+    # Neighbour generation: swap each consonant of a sequence for each of
+    # its relation neighbours and look the result up. Unordered studies
+    # swap only upwards (y > x), so a pair is found once, from seq_a. The
+    # lookup goes through `canon` so that pairs hold the table's own keys.
+    freqs = table.freqs
+    canon = {seq: seq for seq in freqs}
+    ordered = cfg.orientation == "ordered"
+    neighbours = {
+        x: [(y, f) for y, f in rel.items()
+            if (ordered or y > x) and (cfg.feature is None or f == cfg.feature)]
+        for x, rel in inv.relation.items()
+    }
     pairs = []
-    for frame, seqs in buckets.items():
-        pos = frame.index(HOLE)
-        seqs.sort()
-        for i, a in enumerate(seqs):
-            neighbours = inv.relation[a[pos]]
-            for b in seqs[i + 1:]:
-                feature = neighbours.get(b[pos])
-                if feature is None:
-                    continue
-                if cfg.feature is not None and feature != cfg.feature:
-                    continue
-                weight = min(table.freqs[a], table.freqs[b])
-                pairs.append(MinimalSequencePair(a, b, pos, feature, weight))
-                if cfg.orientation == "ordered":
-                    pairs.append(MinimalSequencePair(b, a, pos, feature, weight))
-    pairs.sort(key=lambda p: (p.seq_a, p.seq_b, p.position))
+    for a in sorted(freqs):
+        hits = []
+        for pos, x in enumerate(a):
+            head, tail = a[:pos], a[pos + 1:]
+            for y, feature in neighbours.get(x, ()):
+                b = canon.get(head + (y,) + tail)
+                if b is not None:
+                    hits.append(MinimalSequencePair(a, b, pos, feature,
+                                                    min(freqs[a], freqs[b])))
+        hits.sort()  # by seq_b: seq_a is shared, and no seq_b is hit twice
+        pairs += hits
     return pairs
 
 
@@ -219,9 +219,9 @@ def count_contrasts(pairs, cfg: StudyConfig) -> ContrastMatrix:
     """Accumulate pairs into the frame-granularity contrast matrix."""
     features = (cfg.feature,) if cfg.feature else FEATURES
     matrix = ContrastMatrix(features=features, scheme="frame", kind=cfg.kind)
-    for p in pairs:
-        matrix.add(frame_of(p.seq_a, p.position), p.feature,
-                   p.weight if cfg.weighting == "type-frequency" else 1)
+    weighted = cfg.weighting == "type-frequency"
+    for a, _, pos, feature, weight in pairs:
+        matrix.add(frame_of(a, pos), feature, weight if weighted else 1)
     return matrix
 
 
@@ -242,9 +242,7 @@ def aggregate(matrix: ContrastMatrix, scheme: str, inv: Inventory = None) -> Con
         key = context_key(frame, scheme, inv)
         if key is None:
             continue
-        tgt = out.cells.setdefault((key, feature), Cell())
-        tgt.weighted += cell.weighted
-        tgt.pairs += cell.pairs
+        out.add(key, feature, cell.weighted, cell.pairs)
     return out
 
 

@@ -192,7 +192,9 @@ def parse_inventory(text: str) -> Inventory:
     pair_relation = {}
     pair_lines = {}
     bundles = {}
+    bundle_lines = {}
     class_map = {}
+    class_lines = {}
     sections_seen = set()
 
     for no, section, fields in _split_sections(text):
@@ -242,12 +244,15 @@ def parse_inventory(text: str) -> Inventory:
             if sym in bundles:
                 raise InventoryError("duplicate feature bundle for %r" % sym, line=no)
             bundles[sym] = (fields[1], fields[2], fields[3])
+            bundle_lines[sym] = no
         elif section == "classes":
             if len(fields) != 2 or fields[1] not in SEGMENT_CLASSES:
                 raise InventoryError(
                     "expected '<symbol> <%s>'" % "|".join(SEGMENT_CLASSES), line=no
                 )
-            class_map[normalize_symbol(fields[0])] = fields[1]
+            sym = normalize_symbol(fields[0])
+            class_map[sym] = fields[1]
+            class_lines[sym] = no
         else:
             raise InventoryError("content in unknown section", line=no)
 
@@ -262,7 +267,19 @@ def parse_inventory(text: str) -> Inventory:
         fs = FeatureSystem(mode="pair-list", pair_relation=pair_relation)
     else:
         fs = FeatureSystem(mode="vector", bundles=bundles)
-    for sym in class_map:
+    # Entries may name symbols of a later [phonemes] line, so they are
+    # checked here, each with its own line.
+    vowels = {p.symbol for p in phonemes if p.is_vowel}
+    for sym, no in class_lines.items():
         if sym not in seen:
-            raise InventoryError("class entry for unknown phoneme %r" % sym)
+            raise InventoryError("class entry for unknown phoneme %r" % sym, line=no)
+    for key, no in pair_lines.items():
+        for sym in sorted(key):
+            if sym not in seen:
+                raise InventoryError("pair references unknown phoneme %r" % sym, line=no)
+            if sym in vowels:
+                raise InventoryError("pair references vowel %r" % sym, line=no)
+    for sym, no in bundle_lines.items():
+        if sym not in seen or sym in vowels:
+            raise InventoryError("feature bundle for unknown or vowel phoneme %r" % sym, line=no)
     return Inventory(phonemes, fs, class_map=class_map)

@@ -1,6 +1,15 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from ptrac import data, parse_lexicon
+
+# GitHub Actions sets CI: properties then draw the same examples on every
+# run, so a failure there reproduces locally with CI=1.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

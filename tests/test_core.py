@@ -69,6 +69,18 @@ def test_single_difference_pair(persian):
     assert p.position == 0 and p.frame == "_and" and p.feature == "place"
 
 
+def test_minimal_sequence_pair_is_a_named_tuple(fixture_lexicon, persian):
+    assert MinimalSequencePair._fields == ("seq_a", "seq_b", "position", "feature", "weight")
+    p = MinimalSequencePair(tuple("band"), tuple("pand"), 0, "voice", 2)
+    assert p == (tuple("band"), tuple("pand"), 0, "voice", 2)
+    assert hash(p) == hash((tuple("band"), tuple("pand"), 0, "voice", 2))
+    assert p.frame == "_and"
+    assert MinimalSequencePair(tuple("sd"), tuple("st"), 1, "voice", 1).frame == "s_"
+    pairs = run_study(fixture_lexicon, persian, StudyConfig(orientation="ordered")).pairs
+    by_key = sorted(pairs, key=lambda q: (q.seq_a, q.seq_b, q.position))
+    assert sorted(pairs) == by_key == pairs
+
+
 def test_non_minimal_segments_no_pair(persian):
     t = table_of({"band": 1, "tand": 1})  # b/t differ in two features
     assert enumerate_minimal_sequence_pairs(t, persian, StudyConfig(kind="positions")) == []

@@ -93,6 +93,32 @@ def test_pair_referencing_vowel_or_unknown():
         parse_inventory(base + "b q voice\n")
 
 
+ENTRY_BASE = "[phonemes]\nb consonant\np consonant\na vowel\n"
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("[pairs]\nb p voice\nb q voice\n", 7, "pair references unknown phoneme 'q'"),
+    ("[pairs]\nb p voice\na b manner\n", 7, "pair references vowel 'a'"),
+    ("[features]\nb stop labial voiced\np stop labial voiceless\n"
+     "q stop labial voiced\n", 8, "feature bundle for unknown or vowel phoneme 'q'"),
+    ("[features]\na stop labial voiced\nb stop labial voiced\n"
+     "p stop labial voiceless\n", 6, "feature bundle for unknown or vowel phoneme 'a'"),
+    ("[pairs]\nb p voice\n[classes]\nb nasal\nq liquid\n", 9,
+     "class entry for unknown phoneme 'q'"),
+], ids=["pairs-unknown", "pairs-vowel", "features-unknown", "features-vowel",
+        "classes-unknown"])
+def test_unknown_symbol_in_entry_carries_its_line(body, line, message):
+    with pytest.raises(InventoryError) as exc:
+        parse_inventory(ENTRY_BASE + body)
+    assert exc.value.line == line
+    assert str(exc.value) == "line %d: %s" % (line, message)
+
+
+def test_entries_may_precede_their_phonemes():
+    inv = parse_inventory("[classes]\nb nasal\n[pairs]\nb p voice\n" + ENTRY_BASE)
+    assert inv.relation["b"] == {"p": "voice"} and inv.class_map["b"] == "nasal"
+
+
 def test_malformed_line_carries_number():
     with pytest.raises(InventoryError, match="line 2"):
         parse_inventory("[phonemes]\nb consonant extra\n")
