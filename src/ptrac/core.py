@@ -152,30 +152,83 @@ def context_text(key) -> str:
     return "".join(key)
 
 
+def require_distinct_texts(contexts):
+    """Raise StudyError when two context keys render alike, as their rows
+    could not be told apart; `contexts` is ordered by text, as
+    `ContrastMatrix.contexts` orders it. Only frames of multi-character
+    symbols can collide, e.g. ("t", "sa", "k", "_") and ("ts", "a", "k", "_")."""
+    for a, b in zip(contexts, contexts[1:]):
+        if context_text(a) == context_text(b):
+            raise StudyError("contexts %r and %r both render as %r"
+                             % (a, b, context_text(a)))
+
+
+def _plan(skeleton, kind):
+    """Slice bounds ``(start, end)`` of the study sequences of a word whose
+    consonant/vowel skeleton is `skeleton` (bytes, 1 for a vowel), in word
+    order, or None when `syllabify` rejects such a word. The bounds are the
+    syllable boundaries `syllabify` draws, which depend on the skeleton
+    alone: the CVCC codas (clusters) or whole CVCC syllables (positions)."""
+    vowels = [i for i, is_vowel in enumerate(skeleton) if is_vowel]
+    if not vowels or vowels[0] != 1:  # no nucleus, or no single onset
+        return None
+    # each coda runs up to the next onset, the last one to the word's end
+    coda_ends = [v - 1 for v in vowels[1:]] + [len(skeleton)]
+    plan = []
+    for v, end in zip(vowels, coda_ends):
+        n = end - v - 1  # coda length; -1 for adjacent vowels
+        if not 0 <= n <= 2:
+            return None
+        if n == 2:
+            plan.append((v + 1 if kind == "clusters" else v - 1, end))
+    return tuple(plan)
+
+
+def _entry_plans(entries, inv: Inventory, kind: str):
+    """Each entry with its `_plan`, computed once per distinct skeleton.
+    A skeleton is bytes rather than a tuple: no tuple free list keeps
+    thousands of them alive after the pass."""
+    is_vowel = inv.vowel_map.__getitem__
+    plans = {}
+    for entry in entries:
+        skeleton = bytes(map(is_vowel, entry.transcription))
+        plan = plans.get(skeleton, False)  # a plan may be None or ()
+        if plan is False:
+            plan = plans[skeleton] = _plan(skeleton, kind)
+        yield entry, plan
+
+
 def entry_sequences(entry, inv: Inventory, kind: str):
     """Study sequences contributed by one lexicon entry (may raise)."""
-    out = []
-    for syl in syllabify(entry.transcription, inv):
-        if len(syl.coda) != 2:  # not CVCC
-            continue
-        out.append(syl.coda if kind == "clusters" else syl.segments)
-    return out
+    t = entry.transcription
+    plan = _plan(bytes(map(inv.vowel_map.__getitem__, t)), kind)
+    if plan is None:
+        syllabify(t, inv)  # raises, naming the reason
+    return [t[o:e] for o, e in plan]
 
 
 def extract_sequences(lex: Lexicon, inv: Inventory, cfg: StudyConfig):
-    """Build the sequence-frequency table; returns (table, excluded)."""
+    """Build the sequence-frequency table; returns (table, excluded).
+
+    Sequences are cut from each transcription by the plan of its skeleton,
+    so no syllables are built; a rejected entry is syllabified once more,
+    for the message of its error."""
     if lex.inventory is not inv:
         raise StudyError("lexicon was parsed against a different inventory")
     table = SequenceTable()
+    freqs = table.freqs
     excluded = []
-    for ix, entry in enumerate(lex.entries):
-        try:
-            seqs = entry_sequences(entry, inv, cfg.kind)
-        except PtracError as exc:
-            excluded.append(ExcludedEntry(ix, entry.orthography, str(exc)))
-            continue
-        for seq in seqs:
-            table.add(seq)
+    for ix, (entry, plan) in enumerate(_entry_plans(lex.entries, inv, cfg.kind)):
+        t = entry.transcription
+        if plan is None:
+            try:
+                syllabify(t, inv)  # raises, naming the reason
+            except PtracError as exc:
+                excluded.append(ExcludedEntry(ix, entry.orthography, str(exc)))
+                continue
+        for o, e in plan:
+            seq = t[o:e]
+            freqs[seq] = freqs.get(seq, 0) + 1
     return table, excluded
 
 
@@ -263,23 +316,21 @@ def list_pairs_for(pairs, feature, context, lex: Lexicon, inv: Inventory,
     if limit < 1:
         raise StudyError("limit must be at least 1, got %d" % limit)
 
-    words_by_seq = {}
-    for entry in lex.entries:
-        try:
-            seqs = entry_sequences(entry, inv, cfg.kind)
-        except PtracError:
-            continue
-        for seq in seqs:
-            words_by_seq.setdefault(seq, []).append(entry)
-
-    rows = []
+    matching, keys = [], set()
     for p in pairs:
-        if p.feature != feature:
-            continue
         key = context_key(frame_of(p.seq_a, p.position), scheme, inv)
         if key is not None and context_text(key) == context:
-            rows.append(PairReportRow(p, _witnesses(p, words_by_seq, limit)))
-    return rows
+            keys.add(key)
+            if p.feature == feature:
+                matching.append(p)
+    require_distinct_texts(sorted(keys))
+
+    words_by_seq = {}
+    for entry, plan in _entry_plans(lex.entries, inv, cfg.kind):
+        t = entry.transcription
+        for o, e in plan or ():
+            words_by_seq.setdefault(t[o:e], []).append(entry)
+    return [PairReportRow(p, _witnesses(p, words_by_seq, limit)) for p in matching]
 
 
 def _witnesses(pair, words_by_seq, limit):

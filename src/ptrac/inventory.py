@@ -73,6 +73,9 @@ class Inventory:
     * ``token_re``: an alternation of the symbols, longest first, plus the
       glottal alias when the inventory has a glottal stop; a match at an
       offset is the greedy longest-match token there;
+    * ``char_symbols``: the symbols other than ``?`` when every symbol is
+      one character, else empty; a text made only of them tokenizes to
+      its characters;
     * ``vowel_map``: symbol -> is_vowel;
     * ``relation``: consonant -> {consonant: feature}, the pair relation
       of ``contrasting_feature`` (symmetric, no entry for non-contrasting
@@ -89,7 +92,7 @@ class Inventory:
             c: cmap.get(c, DEFAULT_CLASS_MAP.get(c, "obstruent"))
             for c in self.consonants
         }
-        self._validate()
+        self._validate(cmap)
 
         # "?" in a transcription always spells the glottal stop, so a
         # literal "?" symbol (possible only via the constructor) never matches.
@@ -97,6 +100,9 @@ class Inventory:
         if GLOTTAL in self.phonemes:
             symbols.append(GLOTTAL_ALIAS)
         self.token_re = re.compile("|".join(map(re.escape, symbols)))
+        one_char = all(len(s) == 1 for s in self.phonemes)
+        self.char_symbols = frozenset(
+            self.phonemes.keys() - {GLOTTAL_ALIAS} if one_char else ())
         self.vowel_map = {s: p.is_vowel for s, p in self.phonemes.items()}
         self.relation = {c: {} for c in self.consonants}
         for i, a in enumerate(self.consonants):
@@ -105,7 +111,7 @@ class Inventory:
                 if feature is not None:
                     self.relation[a][b] = self.relation[b][a] = feature
 
-    def _validate(self):
+    def _validate(self, class_map):
         if not self.consonants or not self.vowels:
             raise InventoryError("inventory needs at least one consonant and one vowel")
         for sym in self.phonemes:
@@ -128,6 +134,11 @@ class Inventory:
             missing = [c for c in self.consonants if c not in fs.bundles]
             if missing:
                 raise InventoryError("consonants missing feature bundles: %s" % ", ".join(missing))
+        for sym in class_map:
+            if sym not in self.phonemes:
+                raise InventoryError("class entry for unknown phoneme %r" % sym)
+            if self.phonemes[sym].is_vowel:
+                raise InventoryError("class entry for vowel %r" % sym)
 
     def is_vowel(self, symbol: str) -> bool:
         return self.vowel_map[symbol]
@@ -273,6 +284,8 @@ def parse_inventory(text: str) -> Inventory:
     for sym, no in class_lines.items():
         if sym not in seen:
             raise InventoryError("class entry for unknown phoneme %r" % sym, line=no)
+        if sym in vowels:
+            raise InventoryError("class entry for vowel %r" % sym, line=no)
     for key, no in pair_lines.items():
         for sym in sorted(key):
             if sym not in seen:

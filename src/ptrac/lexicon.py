@@ -58,6 +58,8 @@ def tokenize_transcription(text: str, inv: Inventory):
     """
     if not text:
         raise TokenizeError("empty transcription", offset=0, fragment="")
+    if inv.char_symbols.issuperset(text):
+        return tuple(text)
     tokens = inv.token_re.findall(text)
     # findall skips what no symbol matches; the tokens tile the text iff
     # their lengths add up to it.

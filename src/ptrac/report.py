@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from . import __version__
-from .core import ContrastMatrix, SCHEMES, aggregate, context_text
+from .core import ContrastMatrix, SCHEMES, aggregate, context_text, require_distinct_texts
 from .errors import StudyError
 
 FORMATS = ("csv", "json", "markdown", "svg")
@@ -34,15 +34,19 @@ class RenderSpec:
 
 
 def _aggregated(matrix, spec, inv=None):
-    if matrix.scheme == spec.scheme:
-        return matrix
-    return aggregate(matrix, spec.scheme, inv=inv)
+    """The matrix under the spec's scheme and its contexts in output
+    order; raises StudyError when two contexts render alike."""
+    if matrix.scheme != spec.scheme:
+        matrix = aggregate(matrix, spec.scheme, inv=inv)
+    contexts = matrix.contexts()
+    require_distinct_texts(contexts)
+    return matrix, contexts
 
 
-def _records(matrix):
+def _records(matrix, contexts):
     """(context text, feature, weighted, pairs) rows; contexts in
     lexicographic order of their text, features in manner/place/voice order."""
-    for ctx in matrix.contexts():
+    for ctx in contexts:
         for feat in matrix.features:
             cell = matrix.cell(ctx, feat)
             yield context_text(ctx), feat, cell.weighted, cell.pairs
@@ -51,10 +55,11 @@ def _records(matrix):
 def render_matrix(matrix: ContrastMatrix, spec: RenderSpec, inv=None,
                   meta=None) -> str:
     """Render to csv, json or markdown (use render_chart for svg)."""
-    m = _aggregated(matrix, spec, inv)
+    m, contexts = _aggregated(matrix, spec, inv)
     if spec.format == "csv":
         buf = io.StringIO()  # the writer quotes fields with , " or a line break (RFC 4180)
-        csv.writer(buf, lineterminator="\n").writerows([CSV_HEADER.split(","), *_records(m)])
+        csv.writer(buf, lineterminator="\n").writerows(
+            [CSV_HEADER.split(","), *_records(m, contexts)])
         return buf.getvalue()
     if spec.format == "json":
         doc = {
@@ -67,7 +72,7 @@ def render_matrix(matrix: ContrastMatrix, spec: RenderSpec, inv=None,
             },
             "records": [
                 {"context": c, "feature": f, "weighted_count": w, "pair_count": p}
-                for c, f, w, p in _records(m)
+                for c, f, w, p in _records(m, contexts)
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -77,7 +82,7 @@ def render_matrix(matrix: ContrastMatrix, spec: RenderSpec, inv=None,
             "| --- | --- | --- | --- |",
         ]
         lines += ["| %s | %s | %d | %d |" % (_md_esc(ctx), feat, w, p)
-                  for ctx, feat, w, p in _records(m)]
+                  for ctx, feat, w, p in _records(m, contexts)]
         return "\n".join(lines) + "\n"
     raise StudyError("render_matrix does not handle %r" % spec.format)
 
@@ -87,8 +92,7 @@ def render_chart(matrix: ContrastMatrix, spec: RenderSpec, inv=None) -> str:
     weighted counts as heights."""
     if spec.format != "svg":
         raise StudyError("render_chart requires svg format")
-    m = _aggregated(matrix, spec, inv)
-    contexts = m.contexts()
+    m, contexts = _aggregated(matrix, spec, inv)
     if len(contexts) > MAX_CHART_COLUMNS:
         raise StudyError(
             "%d context columns exceed the chart limit of %d"

@@ -45,3 +45,20 @@ def mini():
     from ptrac import parse_inventory
 
     return parse_inventory(MINI_INV)
+
+
+@pytest.fixture(scope="session")
+def join_alike():
+    """Inventory and lexicon whose positions-study frames ("t", "sa", "k",
+    "_") and ("ts", "a", "k", "_") both render as "tsak_"."""
+    from ptrac import Inventory, Lexicon, LexEntry
+    from ptrac.inventory import FeatureSystem, Phoneme
+
+    inv = Inventory(
+        [Phoneme(c, False) for c in ("t", "ts", "k", "g")]
+        + [Phoneme(v, True) for v in ("a", "sa")],
+        FeatureSystem(mode="pair-list", pair_relation={frozenset(("k", "g")): "voice"}),
+    )
+    words = [("t", "sa", "k", "g"), ("ts", "a", "k", "k"),
+             ("t", "sa", "k", "k"), ("ts", "a", "k", "g")]
+    return inv, Lexicon([LexEntry("w%d" % i, w) for i, w in enumerate(words)], inv)

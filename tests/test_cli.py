@@ -235,3 +235,26 @@ def test_lexicon_with_bom(capsys, inv_path, tmp_path):
     )
     assert code == 0
     assert out.endswith("\t(hosn, hozn)\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--study", "positions"],
+    ["list-pairs", "--study", "positions", "--feature", "voice", "--context", "tsak_"],
+])
+def test_contexts_that_render_alike_are_a_validation_error(capsys, monkeypatch, tmp_path,
+                                                           join_alike, command):
+    # Greedy longest-match tokenizing reads equal text the same way, so
+    # colliding frames are hard to reach from a lexicon file; the lexicon
+    # is handed in through the library instead.
+    import ptrac.cli
+
+    inv, lex = join_alike
+    monkeypatch.setattr(ptrac.cli, "_load_inventory", lambda path: inv)
+    monkeypatch.setattr(ptrac.cli, "parse_lexicon", lambda text, inv, strict=False: (lex, []))
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, command[:1] + ["--inventory", "unused", "--lexicon",
+                                                str(lexicon)] + command[1:])
+    assert code == 2 and out == ""
+    assert err == ("error: contexts ('t', 'sa', 'k', '_') and ('ts', 'a', 'k', '_') "
+                   "both render as 'tsak_'\n")

@@ -261,3 +261,19 @@ def test_list_pairs_rejects_limit_below_one(fixture_lexicon, persian, limit):
     with pytest.raises(StudyError, match="limit"):
         list_pairs_for(report.pairs, "voice", "_n", fixture_lexicon, persian, cfg,
                        limit=limit)
+
+
+def test_list_pairs_rejects_context_text_of_two_frames(join_alike):
+    inv, lex = join_alike
+    cfg = StudyConfig(kind="positions")
+    report = run_study(lex, inv, cfg)
+    with pytest.raises(StudyError, match=r"both render as 'tsak_'"):
+        list_pairs_for(report.pairs, "voice", "tsak_", lex, inv, cfg)
+    # the frames collide even for a feature none of their pairs has
+    with pytest.raises(StudyError, match=r"both render as 'tsak_'"):
+        list_pairs_for(report.pairs, "manner", "tsak_", lex, inv, cfg)
+    rows = list_pairs_for(report.pairs, "voice", "C3", lex, inv, cfg, scheme="position")
+    assert [(r.pair.seq_a, r.witnesses) for r in rows] == [
+        (("t", "sa", "k", "g"), (("w0", "w2"),)),
+        (("ts", "a", "k", "g"), (("w3", "w1"),)),
+    ]

@@ -105,8 +105,10 @@ ENTRY_BASE = "[phonemes]\nb consonant\np consonant\na vowel\n"
      "p stop labial voiceless\n", 6, "feature bundle for unknown or vowel phoneme 'a'"),
     ("[pairs]\nb p voice\n[classes]\nb nasal\nq liquid\n", 9,
      "class entry for unknown phoneme 'q'"),
+    ("[pairs]\nb p voice\n[classes]\nb nasal\na liquid\n", 9,
+     "class entry for vowel 'a'"),
 ], ids=["pairs-unknown", "pairs-vowel", "features-unknown", "features-vowel",
-        "classes-unknown"])
+        "classes-unknown", "classes-vowel"])
 def test_unknown_symbol_in_entry_carries_its_line(body, line, message):
     with pytest.raises(InventoryError) as exc:
         parse_inventory(ENTRY_BASE + body)
@@ -190,6 +192,20 @@ def test_class_map_defaults_and_override(persian):
         "[phonemes]\nm consonant\na vowel\n[pairs]\n[classes]\nm obstruent\n"
     )
     assert inv.class_map["m"] == "obstruent"
+
+
+@pytest.mark.parametrize("class_map, message", [
+    ({"b": "nasal", "q": "liquid"}, "class entry for unknown phoneme 'q'"),
+    ({"a": "liquid"}, "class entry for vowel 'a'"),
+])
+def test_class_map_entry_for_unknown_or_vowel_rejected_by_constructor(class_map, message):
+    from ptrac import Inventory
+    from ptrac.inventory import FeatureSystem, Phoneme
+
+    with pytest.raises(InventoryError) as exc:
+        Inventory([Phoneme("b", False), Phoneme("a", True)], FeatureSystem(mode="pair-list"),
+                  class_map=class_map)
+    assert str(exc.value) == message and exc.value.line is None
 
 
 def _assert_relation_table(inv):

@@ -1,7 +1,7 @@
 """Lexicon parsing, tokenization and round-tripping."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ptrac import (
     LexiconError,
@@ -140,11 +140,11 @@ HOSTILE = "ab.*(\\|['?"
 
 
 @st.composite
-def alphabet_and_text(draw):
+def alphabet_and_text(draw, max_symbol_size=3):
     from ptrac import Inventory
     from ptrac.inventory import FeatureSystem, Phoneme
 
-    symbols = draw(st.lists(st.text(HOSTILE, min_size=1, max_size=3),
+    symbols = draw(st.lists(st.text(HOSTILE, min_size=1, max_size=max_symbol_size),
                             min_size=2, max_size=8, unique=True))
     n_cons = draw(st.integers(1, len(symbols) - 1))
     inv = Inventory(
@@ -169,6 +169,67 @@ def _outcome(tokenize, text, inv):
 def test_tokenize_matches_reference(case):
     inv, text = case
     assert _outcome(tokenize_transcription, text, inv) == _outcome(_reference_tokenize, text, inv)
+
+
+class _CountingPattern:
+    """Stands in for an inventory's `token_re`, counting `findall` calls."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.findall_calls = 0
+
+    def findall(self, text):
+        self.findall_calls += 1
+        return self.pattern.findall(text)
+
+    def match(self, text, pos):
+        return self.pattern.match(text, pos)
+
+
+def test_tokenize_one_character_symbols_matches_reference():
+    # One-character alphabets take the tuple(text) fast path unless the text
+    # has a "?" or a character that is no symbol; "?" may be the glottal
+    # alias (the alphabet has "'") or a literal constructor symbol.
+    paths = {"fast": 0, "regex": 0}
+
+    @settings(max_examples=300)
+    @given(alphabet_and_text(max_symbol_size=1))
+    def check(case):
+        inv, text = case
+        assert _outcome(tokenize_transcription, text, inv) == _outcome(
+            _reference_tokenize, text, inv)
+        inv.token_re = _CountingPattern(inv.token_re)
+        _outcome(tokenize_transcription, text, inv)
+        if text:
+            paths["regex" if inv.token_re.findall_calls else "fast"] += 1
+
+    check()
+    assert paths["fast"] and paths["regex"]
+
+
+@pytest.mark.parametrize("symbols, text, tokens", [
+    ("'ab", "?ab'", ("'", "a", "b", "'")),  # "?" as the glottal alias
+    ("?ab", "ab", ("a", "b")),
+    ("?ab", "a?b", "error"),  # a literal "?" symbol never matches
+    ("'?ab", "?a", ("'", "a")),
+])
+def test_tokenize_question_mark_with_one_character_symbols(symbols, text, tokens):
+    from ptrac import Inventory
+    from ptrac.inventory import FeatureSystem, Phoneme
+
+    inv = Inventory([Phoneme(s, s == "a") for s in symbols], FeatureSystem(mode="pair-list"))
+    assert inv.char_symbols == set(symbols) - {"?"}
+    got = _outcome(tokenize_transcription, text, inv)
+    assert got == _outcome(_reference_tokenize, text, inv)
+    assert got[0] == "error" if tokens == "error" else got == tokens
+
+
+def test_char_symbols_empty_with_a_multi_character_symbol():
+    from ptrac import parse_inventory
+
+    inv = parse_inventory("[phonemes]\nt consonant\nts consonant\na vowel\n[pairs]\n")
+    assert inv.char_symbols == frozenset()
+    assert tokenize_transcription("tsa", inv) == ("ts", "a")
 
 
 def test_lexicon_rejects_unknown_symbol(persian):

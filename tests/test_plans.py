@@ -1,0 +1,144 @@
+"""Skeleton plans: extraction cuts study sequences by the plan of each
+word's consonant/vowel skeleton instead of syllabifying it. Held here to a
+reference that syllabifies every entry, as extraction used to."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import ptrac.core
+from ptrac import Inventory, Lexicon, LexEntry, PtracError, StudyConfig, syllabify
+from ptrac.core import KINDS, ExcludedEntry, entry_sequences, extract_sequences
+from ptrac.inventory import FeatureSystem, Phoneme
+from randlex import make_case
+
+
+def reference_entry_sequences(entry, inv, kind):
+    out = []
+    for syl in syllabify(entry.transcription, inv):
+        if len(syl.coda) != 2:  # not CVCC
+            continue
+        out.append(syl.coda if kind == "clusters" else syl.segments)
+    return out
+
+
+def reference_extract(lex, inv, kind):
+    freqs = {}
+    excluded = []
+    for ix, entry in enumerate(lex.entries):
+        try:
+            seqs = reference_entry_sequences(entry, inv, kind)
+        except PtracError as exc:
+            excluded.append(ExcludedEntry(ix, entry.orthography, str(exc)))
+            continue
+        for seq in seqs:
+            freqs[seq] = freqs.get(seq, 0) + 1
+    return freqs, excluded
+
+
+def _outcome(sequences, entry, inv, kind):
+    try:
+        return sequences(entry, inv, kind)
+    except PtracError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def assert_plans_match(lex, inv):
+    for kind in KINDS:
+        table, excluded = extract_sequences(lex, inv, StudyConfig(kind=kind))
+        want_freqs, want_excluded = reference_extract(lex, inv, kind)
+        assert list(table.freqs.items()) == list(want_freqs.items())  # insertion order too
+        assert excluded == want_excluded
+        for entry in lex.entries:
+            assert (_outcome(entry_sequences, entry, inv, kind)
+                    == _outcome(reference_entry_sequences, entry, inv, kind))
+
+
+@pytest.mark.parametrize("mode", ["pair-list", "vector", "multichar"])
+@pytest.mark.parametrize("seed", range(15))
+def test_plans_match_syllabify_randlex(seed, mode):
+    inv, lex = make_case(seed, mode=mode)
+    assert_plans_match(lex, inv)
+
+
+def test_randlex_cases_reach_every_outcome():
+    reasons, kinds_of_seqs = set(), set()
+    for mode in ("pair-list", "vector", "multichar"):
+        for seed in range(15):
+            inv, lex = make_case(seed, mode=mode)
+            for entry in lex.entries:
+                try:
+                    syls = syllabify(entry.transcription, inv)
+                except PtracError as exc:
+                    reasons.add(exc.reason)
+                    continue
+                kinds_of_seqs.update(s.shape for s in syls)
+    assert reasons == {"no-nucleus", "initial-vowel", "onset-cluster", "vowel-hiatus",
+                       "coda-too-long"}
+    assert kinds_of_seqs == {"CV", "CVC", "CVCC"}
+
+
+# Multi-character symbols, so that slice bounds count symbols, not text.
+CONSONANTS = ("t", "ts", "k", "kh")
+VOWELS = ("a", "ai")
+PLAN_INV = Inventory(
+    [Phoneme(c, False) for c in CONSONANTS] + [Phoneme(v, True) for v in VOWELS],
+    FeatureSystem(mode="pair-list"),
+)
+
+
+@st.composite
+def word_of(draw, skeleton):
+    return tuple(draw(st.sampled_from(VOWELS if v == "V" else CONSONANTS)) for v in skeleton)
+
+
+SKELETON = st.text("CV", max_size=12)
+# skeleton -> the reason syllabify rejects it for, None if it accepts it
+NAMED_SKELETONS = {
+    "empty": ("", "no-nucleus"),
+    "all-consonant": ("CCC", "no-nucleus"),
+    "initial-vowel": ("VCVC", "initial-vowel"),
+    "onset-cluster": ("CCVCC", "onset-cluster"),
+    "hiatus": ("CVVC", "vowel-hiatus"),
+    "medial 3-consonant coda": ("CVCCCCV", "coda-too-long"),
+    "final 3-consonant coda": ("CVCVCCC", "coda-too-long"),
+    "medial and final CVCC": ("CVCCCVCC", None),
+}
+
+
+@settings(deadline=None)
+@given(st.lists(SKELETON.flatmap(word_of), max_size=12))
+@example([("ts", "a", "k", "kh", "t", "ai", "t", "k"), ("t", "a", "kh", "k")])
+def test_plans_match_syllabify_skeletons(words):
+    lex = Lexicon([LexEntry("w%d" % i, w) for i, w in enumerate(words)], PLAN_INV)
+    assert_plans_match(lex, PLAN_INV)
+
+
+@pytest.mark.parametrize("skeleton, reason", NAMED_SKELETONS.values(), ids=NAMED_SKELETONS)
+def test_plans_match_syllabify_named_skeletons(skeleton, reason):
+    # spelled with two-character symbols, so text offsets and symbol
+    # offsets differ
+    word = tuple("kh" if v == "C" else "ai" for v in skeleton)
+    try:
+        syllabify(word, PLAN_INV)
+    except PtracError as exc:
+        assert exc.reason == reason
+    else:
+        assert reason is None
+    lex = Lexicon([LexEntry("w", word)], PLAN_INV)
+    assert_plans_match(lex, PLAN_INV)
+
+
+def test_extraction_syllabifies_only_rejected_entries(monkeypatch):
+    inv, lex = make_case(3, mode="multichar")
+    calls = []
+
+    def counting(seq, inv):
+        calls.append(seq)
+        return syllabify(seq, inv)
+
+    monkeypatch.setattr(ptrac.core, "syllabify", counting)
+    for kind in KINDS:
+        calls.clear()
+        _, excluded = extract_sequences(lex, inv, StudyConfig(kind=kind))
+        assert excluded
+        assert calls == [lex.entries[ex.index].transcription for ex in excluded]

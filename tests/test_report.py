@@ -193,3 +193,39 @@ def test_svg_parses_with_hostile_symbols(hostile_matrix):
     titles = [t.firstChild.data for t in doc.getElementsByTagName("title")]
     assert titles == ["_%s voice: %d" % (h, agg.cell("_" + h, "voice").weighted)
                       for h in sorted(HOSTILE + ("b",))]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown", "svg"])
+def test_contexts_that_render_alike_are_rejected(join_alike, fmt):
+    from ptrac.report import render
+
+    inv, lex = join_alike
+    matrix = run_study(lex, inv, StudyConfig(kind="positions")).matrix
+    with pytest.raises(StudyError) as exc:
+        render(matrix, RenderSpec(fmt, "frame"), inv=inv)
+    assert str(exc.value) == ("contexts ('t', 'sa', 'k', '_') and ('ts', 'a', 'k', '_') "
+                              "both render as 'tsak_'")
+    # aggregated, the two frames fall into one context
+    out = render(matrix, RenderSpec(fmt, "position"), inv=inv)
+    if fmt == "csv":
+        assert out.splitlines()[1:] == ["C3,manner,0,0", "C3,place,0,0", "C3,voice,2,2"]
+
+
+def test_render_rejects_exactly_the_matrices_with_contexts_that_render_alike():
+    from randlex import make_case
+    from ptrac.report import render
+
+    outcomes = set()
+    for seed in range(40):
+        inv, lex = make_case(seed, mode="multichar")
+        matrix = run_study(lex, inv, StudyConfig(kind="positions")).matrix
+        texts = [context_text(c) for c in matrix.contexts()]
+        collide = len(set(texts)) < len(texts)
+        outcomes.add(collide)
+        if collide:
+            with pytest.raises(StudyError, match="both render as"):
+                render(matrix, RenderSpec("csv", "frame"), inv=inv)
+        else:
+            rows = list(csv.reader(io.StringIO(render(matrix, RenderSpec("csv", "frame")))))
+            assert [r[0] for r in rows[1::len(matrix.features)]] == texts
+    assert outcomes == {True, False}
