@@ -16,6 +16,8 @@ from .core import (
     SCHEMES,
     StudyConfig,
     WEIGHTINGS,
+    enumerate_minimal_sequence_pairs,
+    extract_sequences,
     list_pairs_for,
     run_study,
 )
@@ -141,7 +143,7 @@ def _cmd_analyze(args):
                       orientation=args.orientation, feature=args.feature)
     if args.oracle:
         matrix = oracle_matrix(lex, inv, cfg)
-        excluded = []
+        excluded = extract_sequences(lex, inv, cfg)[1]
     else:
         report = run_study(lex, inv, cfg)
         matrix = report.matrix
@@ -164,8 +166,9 @@ def _cmd_list_pairs(args):
     for d in diags:
         print("warning: %s" % d, file=sys.stderr)
     cfg = StudyConfig(kind=args.study)
-    report = run_study(lex, inv, cfg)
-    rows = list_pairs_for(report.pairs, args.feature, args.context, lex, inv,
+    table, _ = extract_sequences(lex, inv, cfg)
+    pairs = enumerate_minimal_sequence_pairs(table, inv, cfg)
+    rows = list_pairs_for(pairs, args.feature, args.context, lex, inv,
                           cfg, scheme=args.scheme, limit=args.limit)
     for row in rows:
         p = row.pair

@@ -3,7 +3,9 @@
 Pipeline: extract segment sequences from the syllabified lexicon, find all
 minimal sequence pairs among them, designate each pair's context (a frame
 with a hole at the differing position) and contrasting feature, and
-accumulate a feature-by-context matrix of weighted counts.
+accumulate a feature-by-context matrix of weighted counts. `run_study`
+counts the matrix as it finds the pairs, building no pair object; the pair
+list is built only when `StudyReport.pairs` is read.
 
 Two study kinds:
 
@@ -20,6 +22,7 @@ word types in the lexicon (duplicate words contribute separately).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import PtracError, StudyError
@@ -232,6 +235,19 @@ def extract_sequences(lex: Lexicon, inv: Inventory, cfg: StudyConfig):
     return table, excluded
 
 
+def _neighbours(inv: Inventory, cfg: StudyConfig):
+    """Each consonant's relation neighbours `(y, feature)` that the study
+    pairs it with: of `cfg.feature` alone when it filters one, and in an
+    unordered study only those with y > x, so that a pair is found once,
+    from its smaller member."""
+    ordered = cfg.orientation == "ordered"
+    return {
+        x: [(y, f) for y, f in rel.items()
+            if (ordered or y > x) and (cfg.feature is None or f == cfg.feature)]
+        for x, rel in inv.relation.items()
+    }
+
+
 def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: StudyConfig):
     """All minimal sequence pairs among the table's sequences, ordered by
     (seq_a, seq_b, position).
@@ -242,17 +258,11 @@ def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: 
     smaller member first); ordered emits both orientations.
     """
     # Neighbour generation: swap each consonant of a sequence for each of
-    # its relation neighbours and look the result up. Unordered studies
-    # swap only upwards (y > x), so a pair is found once, from seq_a. The
-    # lookup goes through `canon` so that pairs hold the table's own keys.
+    # its `_neighbours` and look the result up. The lookup goes through
+    # `canon` so that pairs hold the table's own keys.
     freqs = table.freqs
     canon = {seq: seq for seq in freqs}
-    ordered = cfg.orientation == "ordered"
-    neighbours = {
-        x: [(y, f) for y, f in rel.items()
-            if (ordered or y > x) and (cfg.feature is None or f == cfg.feature)]
-        for x, rel in inv.relation.items()
-    }
+    neighbours = _neighbours(inv, cfg)
     pairs = []
     for a in sorted(freqs):
         hits = []
@@ -276,6 +286,36 @@ def count_contrasts(pairs, cfg: StudyConfig) -> ContrastMatrix:
     for a, _, pos, feature, weight in pairs:
         matrix.add(frame_of(a, pos), feature, weight if weighted else 1)
     return matrix
+
+
+def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig) -> ContrastMatrix:
+    """The frame-granularity contrast matrix of the table's minimal pairs,
+    counted as `_neighbours` finds them: the same cells as `count_contrasts`
+    of `enumerate_minimal_sequence_pairs`, without building a pair, and
+    with one frame per sequence and position that has a pair."""
+    freqs = table.freqs
+    neighbours = _neighbours(inv, cfg)
+    weighted = cfg.weighting == "type-frequency"
+    acc = {}  # (frame, feature) -> [weighted, pairs]
+    for a in sorted(freqs):  # cell order follows the sequences, not the lexicon
+        fa = freqs[a]
+        for pos, x in enumerate(a):
+            head, tail = a[:pos], a[pos + 1:]
+            frame = None
+            for y, feature in neighbours.get(x, ()):
+                fb = freqs.get(head + (y,) + tail)
+                if fb is None:
+                    continue
+                if frame is None:
+                    frame = head + (HOLE,) + tail
+                rec = acc.get((frame, feature))
+                if rec is None:
+                    rec = acc[frame, feature] = [0, 0]
+                rec[0] += min(fa, fb) if weighted else 1
+                rec[1] += 1
+    return ContrastMatrix(cells={key: Cell(w, n) for key, (w, n) in acc.items()},
+                          features=(cfg.feature,) if cfg.feature else FEATURES,
+                          scheme="frame", kind=cfg.kind)
 
 
 def aggregate(matrix: ContrastMatrix, scheme: str, inv: Inventory = None) -> ContrastMatrix:
@@ -368,24 +408,28 @@ def _witnesses(pair, words_by_seq, limit):
 class StudyReport:
     config: StudyConfig
     table: SequenceTable
-    pairs: list
+    inventory: Inventory
     matrix: ContrastMatrix  # frame granularity
     excluded: list
+
+    @cached_property
+    def pairs(self):
+        """The study's minimal sequence pairs, enumerated on first read."""
+        return enumerate_minimal_sequence_pairs(self.table, self.inventory, self.config)
 
     @property
     def counts(self):
         return {
             "sequences": len(self.table),
             "occurrences": sum(self.table.freqs.values()),
-            "pairs": len(self.pairs),
+            "pairs": sum(c.pairs for c in self.matrix.cells.values()),
             "excluded_entries": len(self.excluded),
         }
 
 
 def run_study(lex: Lexicon, inv: Inventory, cfg: StudyConfig) -> StudyReport:
-    """End-to-end composition: extract, enumerate, count."""
+    """End-to-end composition: extract, then count the contrasts; the
+    pairs themselves are enumerated only if `report.pairs` is read."""
     table, excluded = extract_sequences(lex, inv, cfg)
-    pairs = enumerate_minimal_sequence_pairs(table, inv, cfg)
-    matrix = count_contrasts(pairs, cfg)
-    return StudyReport(config=cfg, table=table, pairs=pairs, matrix=matrix,
-                       excluded=excluded)
+    return StudyReport(config=cfg, table=table, inventory=inv,
+                       matrix=_count_table(table, inv, cfg), excluded=excluded)

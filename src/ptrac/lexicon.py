@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import LexiconError, TokenizeError
 from .inventory import GLOTTAL_ALIAS, Inventory, normalize_symbol
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(NamedTuple):
     orthography: str
     transcription: tuple  # tuple of phoneme symbols
 

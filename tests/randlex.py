@@ -1,9 +1,12 @@
-"""Seeded random inventories and lexicons for engine/oracle comparison."""
+"""Seeded random inventories and lexicons, and a Hypothesis strategy of
+arbitrary-alphabet ones, for engine/oracle comparison."""
 
 import random
 
+from hypothesis import strategies as st
+
 from ptrac import Inventory, Lexicon, LexEntry
-from ptrac.inventory import FEATURES, FeatureSystem, Phoneme
+from ptrac.inventory import FEATURES, HOLE, FeatureSystem, Phoneme
 
 CONSONANT_POOL = list("bcdfghjklmnpqrstvwxyz")
 VOWEL_POOL = list("aeiou")
@@ -102,3 +105,39 @@ def make_case(seed, max_words=200, mode="pair-list"):
         inv = random_inventory(rng, n_cons=6, n_vowels=3, pair_density=0.6,
                                cons_pool=MULTI_CONSONANT_POOL, vowel_pool=MULTI_VOWEL_POOL)
     return inv, random_lexicon(rng, inv, max_words=max_words)
+
+
+# Any text but the frame hole and control characters (Cc), which the
+# inventory rejects; surrogates (Cs) are not text a file could hold.
+CHARS = st.characters(exclude_categories=("Cc", "Cs"), exclude_characters=HOLE)
+
+
+@st.composite
+def hostile_case(draw):
+    """A pair-list inventory over arbitrary symbols and a small lexicon of
+    syllabifiable words over it (mostly CVCC syllables, so that pairs
+    occur), plus some arbitrary symbol strings. Symbols are joins of one or
+    two pieces of a few, so that different symbol sequences often join to
+    the same text ("t" + "sa" and "ts" + "a")."""
+    pieces = draw(st.lists(st.text(CHARS, min_size=1, max_size=2), min_size=2, max_size=4,
+                           unique=True))
+    symbol = st.lists(st.sampled_from(pieces), min_size=1, max_size=2).map("".join)
+    symbols = draw(st.lists(symbol, min_size=3, max_size=8, unique=True))
+    n_vowels = draw(st.integers(1, min(3, len(symbols) - 2)))
+    vowels, cons = symbols[:n_vowels], symbols[n_vowels:]
+    relation = {}
+    for i, a in enumerate(cons):
+        for b in cons[i + 1:]:
+            feature = draw(st.sampled_from(FEATURES + (None,)))
+            if feature is not None:
+                relation[frozenset((a, b))] = feature
+    inv = Inventory([Phoneme(s, False) for s in cons] + [Phoneme(s, True) for s in vowels],
+                    FeatureSystem(mode="pair-list", pair_relation=relation))
+    consonant = st.sampled_from(cons)
+    coda = st.one_of(st.tuples(consonant, consonant), st.lists(consonant, max_size=1))
+    syllable = st.tuples(consonant, st.sampled_from(vowels), coda)
+    word = st.lists(syllable, min_size=1, max_size=3).map(
+        lambda syls: tuple(s for o, n, c in syls for s in (o, n, *c)))
+    any_string = st.lists(st.sampled_from(symbols), min_size=1, max_size=6).map(tuple)
+    words = draw(st.lists(st.one_of(word, word, any_string), min_size=1, max_size=25))
+    return inv, Lexicon([LexEntry("w%d" % i, w) for i, w in enumerate(words)], inv)

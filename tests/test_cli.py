@@ -121,6 +121,17 @@ def test_analyze_oracle_flag_agrees(capsys, inv_path, lex_path):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown", "svg"])
+def test_analyze_oracle_flag_reports_excluded_entries(capsys, inv_path, tmp_path, fmt):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("band\tband\npand\tpand\nakt\takt\nsard\tsard\n", encoding="utf-8")
+    base = ["analyze", "--inventory", inv_path, "--lexicon", str(lex),
+            "--study", "clusters", "--format", fmt]
+    engine = run(capsys, base)
+    assert engine[0] == 0 and "entry 2 (akt) excluded" in engine[2]
+    assert run(capsys, base + ["--oracle"]) == engine
+
+
 def test_analyze_out_file(capsys, inv_path, lex_path, tmp_path):
     target = tmp_path / "m.csv"
     code, out, _ = run(

@@ -240,3 +240,16 @@ def test_lexicon_rejects_unknown_symbol(persian):
                  LexEntry("w3", ("X", "a"))], persian)
     with pytest.raises(LexiconError):
         Lexicon([LexEntry("w", ("b", "a", "nd"))], persian)
+
+
+def test_lex_entry_named_tuple(persian):
+    from ptrac import LexEntry
+
+    entry = LexEntry("band", ("b", "a", "n", "d"))
+    assert entry.orthography == "band" and entry.transcription == ("b", "a", "n", "d")
+    assert entry == ("band", ("b", "a", "n", "d"))
+    assert hash(entry) == hash(("band", ("b", "a", "n", "d")))
+    with pytest.raises(AttributeError):
+        entry.orthography = "pand"
+    lex, _ = parse_lexicon("band\tband\n", persian)
+    assert lex.entries == [entry] and type(lex.entries[0]) is LexEntry

@@ -3,12 +3,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from ptrac import Inventory, Lexicon, LexEntry, StudyConfig, StudyError, run_study
-from ptrac.inventory import FEATURES, HOLE, FeatureSystem, Phoneme
+from ptrac.inventory import FeatureSystem, Phoneme
 from ptrac.oracle import oracle_matrix
-from randlex import make_case
+from randlex import hostile_case, make_case
 
 COMBOS = list(
     itertools.product(
@@ -88,42 +88,6 @@ def test_oracle_agreement_randomized_multichar(seed):
     inv, lex = make_case(seed, mode="multichar")
     assert any(len(s) > 1 for s in inv.phonemes)
     assert_engine_matches_oracle(inv, lex, seed)
-
-
-# Any text but the frame hole and control characters (Cc), which the
-# inventory rejects; surrogates (Cs) are not text a file could hold.
-CHARS = st.characters(exclude_categories=("Cc", "Cs"), exclude_characters=HOLE)
-
-
-@st.composite
-def hostile_case(draw):
-    """A pair-list inventory over arbitrary symbols and a small lexicon of
-    syllabifiable words over it (mostly CVCC syllables, so that pairs
-    occur), plus some arbitrary symbol strings. Symbols are joins of one or
-    two pieces of a few, so that different symbol sequences often join to
-    the same text ("t" + "sa" and "ts" + "a")."""
-    pieces = draw(st.lists(st.text(CHARS, min_size=1, max_size=2), min_size=2, max_size=4,
-                           unique=True))
-    symbol = st.lists(st.sampled_from(pieces), min_size=1, max_size=2).map("".join)
-    symbols = draw(st.lists(symbol, min_size=3, max_size=8, unique=True))
-    n_vowels = draw(st.integers(1, min(3, len(symbols) - 2)))
-    vowels, cons = symbols[:n_vowels], symbols[n_vowels:]
-    relation = {}
-    for i, a in enumerate(cons):
-        for b in cons[i + 1:]:
-            feature = draw(st.sampled_from(FEATURES + (None,)))
-            if feature is not None:
-                relation[frozenset((a, b))] = feature
-    inv = Inventory([Phoneme(s, False) for s in cons] + [Phoneme(s, True) for s in vowels],
-                    FeatureSystem(mode="pair-list", pair_relation=relation))
-    consonant = st.sampled_from(cons)
-    coda = st.one_of(st.tuples(consonant, consonant), st.lists(consonant, max_size=1))
-    syllable = st.tuples(consonant, st.sampled_from(vowels), coda)
-    word = st.lists(syllable, min_size=1, max_size=3).map(
-        lambda syls: tuple(s for o, n, c in syls for s in (o, n, *c)))
-    any_string = st.lists(st.sampled_from(symbols), min_size=1, max_size=6).map(tuple)
-    words = draw(st.lists(st.one_of(word, word, any_string), min_size=1, max_size=25))
-    return inv, Lexicon([LexEntry("w%d" % i, w) for i, w in enumerate(words)], inv)
 
 
 @settings(deadline=None)
