@@ -7,6 +7,7 @@ Results go to standard output (or --out); diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import __version__
@@ -89,6 +90,12 @@ def _load_inventory(path):
     return parse_inventory(_read(path))
 
 
+def _warn(lines):
+    """Write a command's warnings to stderr in one call."""
+    if lines:
+        sys.stderr.write("".join("warning: %s\n" % line for line in lines))
+
+
 def _emit(text, out):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -102,8 +109,7 @@ def _cmd_syllabify(args):
     failures = 0
     if args.lexicon:
         lex, diags = parse_lexicon(_read(args.lexicon), inv)
-        for d in diags:
-            print("warning: %s" % d, file=sys.stderr)
+        _warn(diags)
         items = [(e.orthography, e.transcription) for e in lex.entries]
     else:
         if not args.words:
@@ -137,20 +143,21 @@ def _cmd_pairs(args):
 def _cmd_analyze(args):
     inv = _load_inventory(args.inventory)
     lex, diags = parse_lexicon(_read(args.lexicon), inv, strict=args.strict)
-    for d in diags:
-        print("warning: %s" % d, file=sys.stderr)
     cfg = StudyConfig(kind=args.study, weighting=args.weighting,
                       orientation=args.orientation, feature=args.feature)
-    if args.oracle:
-        matrix = oracle_matrix(lex, inv, cfg)
-        excluded = extract_sequences(lex, inv, cfg)[1]
-    else:
-        report = run_study(lex, inv, cfg)
-        matrix = report.matrix
-        excluded = report.excluded
-    for ex in excluded:
-        print("warning: entry %d (%s) excluded: %s"
-              % (ex.index, ex.orthography, ex.reason), file=sys.stderr)
+    warnings = list(diags)
+    try:  # the diagnostics are written also if the study fails
+        if args.oracle:
+            matrix = oracle_matrix(lex, inv, cfg)
+            excluded = extract_sequences(lex, inv, cfg)[1]
+        else:
+            report = run_study(lex, inv, cfg)
+            matrix = report.matrix
+            excluded = report.excluded
+        warnings += ["entry %d (%s) excluded: %s" % (ex.index, ex.orthography, ex.reason)
+                     for ex in excluded]
+    finally:
+        _warn(warnings)
     spec = RenderSpec(format=args.format, scheme=args.aggregate)
     meta = {"diagnostics": len(diags) + len(excluded),
             "weighting": cfg.weighting, "orientation": cfg.orientation}
@@ -163,8 +170,7 @@ def _cmd_list_pairs(args):
         raise StudyError("limit must be at least 1, got %d" % args.limit)
     inv = _load_inventory(args.inventory)
     lex, diags = parse_lexicon(_read(args.lexicon), inv)
-    for d in diags:
-        print("warning: %s" % d, file=sys.stderr)
+    _warn(diags)
     cfg = StudyConfig(kind=args.study)
     table, _ = extract_sequences(lex, inv, cfg)
     pairs = enumerate_minimal_sequence_pairs(table, inv, cfg)
@@ -188,6 +194,19 @@ _COMMANDS = {
 
 
 def cli_main(argv=None) -> int:
+    # A command builds one long-lived entry per lexicon word and no
+    # reference cycles, so the cyclic collector would only walk that heap
+    # again and again; it is paused for the command and restored after.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -178,10 +178,20 @@ def featural_pairs(inv: Inventory, feature: str, orientation: str = "unordered")
     )
 
 
+def split_lines(text):
+    """The lines of `text`, ended only by "\n", "\r\n" or a lone "\r", as
+    universal newlines read a file; unlike `str.splitlines`, U+2028, U+0085,
+    form feeds and the like stay inside their line. A final line break
+    leaves an empty last line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _split_sections(text):
     """Yield (line_no, section, fields) for non-blank non-comment lines."""
     section = None
-    for no, raw in enumerate(text.splitlines(), start=1):
+    for no, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

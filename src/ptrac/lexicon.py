@@ -13,7 +13,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import LexiconError, TokenizeError
-from .inventory import GLOTTAL_ALIAS, Inventory, normalize_symbol
+from .inventory import GLOTTAL_ALIAS, Inventory, normalize_symbol, split_lines
 
 
 class LexEntry(NamedTuple):
@@ -42,6 +42,16 @@ class Lexicon:
                 "symbol(s) not in the inventory: %s (first in entry %r)"
                 % (", ".join(map(repr, sorted(unknown))), first.orthography)
             )
+
+    @classmethod
+    def _of_tokenized(cls, entries: list, inventory: Inventory):
+        """A Lexicon of entries whose transcriptions came from
+        `tokenize_transcription` against `inventory`, so every symbol is
+        known: the constructor's symbol check is skipped."""
+        lex = cls.__new__(cls)
+        lex.entries = entries
+        lex.inventory = inventory
+        return lex
 
     def __len__(self):
         return len(self.entries)
@@ -86,8 +96,7 @@ def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
     """
     entries = []
     diagnostics = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for no, line in enumerate(split_lines(text), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
@@ -104,7 +113,7 @@ def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
         raise LexiconError(
             "%d malformed line(s): %s" % (len(diagnostics), "; ".join(map(str, diagnostics)))
         )
-    return Lexicon(entries, inv), diagnostics
+    return Lexicon._of_tokenized(entries, inv), diagnostics
 
 
 def serialize_lexicon(lex: Lexicon) -> str:

@@ -1,8 +1,10 @@
 """CLI contract tests: subcommands, exit codes, determinism."""
 
+import gc
+
 import pytest
 
-from ptrac import data
+from ptrac import StudyError, data
 from ptrac.cli import cli_main
 
 
@@ -269,3 +271,143 @@ def test_contexts_that_render_alike_are_a_validation_error(capsys, monkeypatch, 
     assert code == 2 and out == ""
     assert err == ("error: contexts ('t', 'sa', 'k', '_') and ('ts', 'a', 'k', '_') "
                    "both render as 'tsak_'\n")
+
+
+# A malformed line, an untokenizable line and two unsyllabifiable words.
+MIXED_LEXICON = ("band\tband\n# comment\nbad line\npand\tpand\nw5\tba5d\nakt\takt\n\n"
+                 "sard\tsard\nno trans\t\nsart\tsart\nbrak\tbrak\n")
+MIXED_DIAGNOSTICS = ("warning: line 3: expected 'orthography<TAB>transcription'\n"
+                     "warning: line 5: no inventory symbol matches '5' at offset 2\n"
+                     "warning: line 9: expected 'orthography<TAB>transcription'\n")
+
+
+@pytest.mark.parametrize("command, code, err", [
+    (["analyze", "--study", "clusters"], 0, MIXED_DIAGNOSTICS
+     + "warning: entry 2 (akt) excluded: sequence starts with vowel 'a' (onset is obligatory)\n"
+     "warning: entry 5 (brak) excluded: word-initial consonant cluster 'br' "
+     "(onsets are single consonants)\n"),
+    (["list-pairs", "--study", "clusters", "--feature", "voice", "--context", "_d"], 0,
+     MIXED_DIAGNOSTICS),
+    (["syllabify"], 2, MIXED_DIAGNOSTICS
+     + "error: akt: sequence starts with vowel 'a' (onset is obligatory)\n"
+     "error: brak: word-initial consonant cluster 'br' (onsets are single consonants)\n"),
+])
+def test_stderr_text_and_order(capsys, inv_path, tmp_path, command, code, err):
+    # Lexicon diagnostics first, then exclusions (or syllabify's errors).
+    lex = tmp_path / "mixed.tsv"
+    lex.write_text(MIXED_LEXICON, encoding="utf-8")
+    got = run(capsys, command[:1] + ["--inventory", inv_path, "--lexicon", str(lex)]
+              + command[1:])
+    assert got[0] == code and got[2] == err
+
+
+def test_analyze_diagnostics_written_before_a_failing_study(capsys, monkeypatch, inv_path,
+                                                            tmp_path):
+    import ptrac.cli
+
+    def fail(lex, inv, cfg):
+        raise StudyError("study failed")
+
+    monkeypatch.setattr(ptrac.cli, "run_study", fail)
+    lex = tmp_path / "mixed.tsv"
+    lex.write_text(MIXED_LEXICON, encoding="utf-8")
+    code, out, err = run(capsys, ["analyze", "--inventory", inv_path, "--lexicon", str(lex),
+                                  "--study", "clusters"])
+    assert code == 2 and out == ""
+    assert err == MIXED_DIAGNOSTICS + "error: study failed\n"
+
+
+def test_unicode_line_separator_stays_inside_its_line(capsys, inv_path, tmp_path):
+    # U+2028 is a line boundary to str.splitlines but not to a file read
+    # with universal newlines; it is part of the orthography here.
+    lex = tmp_path / "u2028.tsv"
+    lex.write_text("a\u2028b\tsak\nw\tsaXk\n", encoding="utf-8")
+    code, out, err = run(capsys, ["syllabify", "--inventory", inv_path, "--lexicon", str(lex)])
+    assert (code, out) == (0, "sak\n")
+    assert err == "warning: line 2: no inventory symbol matches 'X' at offset 2\n"
+
+
+def _argvs(inv_path, lex_path):
+    return {
+        "success": (0, ["analyze", "--inventory", inv_path, "--lexicon", lex_path,
+                        "--study", "clusters"]),
+        "validation error": (2, ["list-pairs", "--inventory", inv_path, "--lexicon", lex_path,
+                                 "--study", "clusters", "--feature", "voice",
+                                 "--context", "_n", "--limit", "0"]),
+        "missing file": (1, ["analyze", "--inventory", inv_path,
+                             "--lexicon", "/nonexistent.tsv", "--study", "clusters"]),
+        "argparse error": (1, ["analyze", "--inventory", inv_path, "--study", "nope"]),
+    }
+
+
+@pytest.mark.parametrize("case", ["success", "validation error", "missing file",
+                                  "argparse error"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_restored(capsys, inv_path, lex_path, case, enabled):
+    code, argv = _argvs(inv_path, lex_path)[case]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli_main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+def test_collector_paused_inside_a_command(capsys, monkeypatch, inv_path, lex_path):
+    import ptrac.cli
+
+    seen = []
+    run_study = ptrac.cli.run_study
+
+    def recording_run_study(*args):
+        seen.append(gc.isenabled())
+        return run_study(*args)
+
+    monkeypatch.setattr(ptrac.cli, "run_study", recording_run_study)
+    assert gc.isenabled()
+    code, _, _ = run(capsys, _argvs(inv_path, lex_path)["success"][1])
+    assert code == 0 and seen == [False] and gc.isenabled()
+
+
+def _mixed_lexicon(n):
+    """n lines: a tenth unsyllabifiable, a tenth malformed, a tenth
+    untokenizable, the rest words that form pairs."""
+    words = ("band", "pand", "sard", "sart", "hosn", "hozn", "satr", "kabk")
+    lines = []
+    for i in range(n):
+        kind = i % 10
+        if kind == 0:
+            lines.append("akt%d\takt" % i)
+        elif kind == 1:
+            lines.append("bad line %d" % i)
+        elif kind == 2:
+            lines.append("w%d\tba5d" % i)
+        else:
+            lines.append("w%d\t%s" % (i, words[i % len(words)]))
+    return "\n".join(lines) + "\n"
+
+
+def test_analyze_leaves_no_per_entry_cycles(capsys, inv_path, tmp_path):
+    # Pausing the collector is sound because a command builds no reference
+    # cycles per entry: the cyclic garbage it leaves does not grow with the
+    # lexicon. An excluded entry that kept its exception (and so the
+    # traceback and its frames) would make one cycle per exclusion.
+    garbage = {}
+    was_enabled = gc.isenabled()
+    try:
+        for n in (20, 4000):
+            lex = tmp_path / ("lex%d.tsv" % n)
+            lex.write_text(_mixed_lexicon(n), encoding="utf-8")
+            gc.collect()
+            gc.disable()
+            code = cli_main(["analyze", "--inventory", inv_path, "--lexicon", str(lex),
+                             "--study", "clusters"])
+            garbage[n] = gc.collect()
+            gc.enable()
+            assert code == 0
+            assert capsys.readouterr().err.count("excluded") == n // 10
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert abs(garbage[4000] - garbage[20]) <= 20, garbage

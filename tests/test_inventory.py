@@ -277,3 +277,27 @@ def test_control_character_symbol_rejected_from_file(symbol):
         parse_inventory(text)
     assert exc.value.line == 3
     assert str(exc.value).startswith("line 3: ")
+
+
+# Line boundaries to str.splitlines that universal newlines do not end a
+# line at.
+ODD_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("odd", ODD_BREAKS)
+def test_odd_line_boundary_stays_inside_its_line(odd):
+    # The comment keeps its "b"; the malformed line is the file's 4th.
+    text = "[phonemes]\nb consonant # labial%sb\na vowel\nbogus\n[pairs]\n" % odd
+    with pytest.raises(InventoryError, match="expected") as exc:
+        parse_inventory(text)
+    assert exc.value.line == 4 and str(exc.value).startswith("line 4: ")
+    inv = parse_inventory(text.replace("bogus\n", ""))
+    assert sorted(inv.phonemes) == ["a", "b"]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_line_endings(newline):
+    text = "[phonemes]\nb consonant\np consonant\na vowel\n[pairs]\nb p voice\nb x voice\n"
+    with pytest.raises(InventoryError, match="unknown") as exc:
+        parse_inventory(text.replace("\n", newline))
+    assert exc.value.line == 7

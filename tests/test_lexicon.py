@@ -253,3 +253,52 @@ def test_lex_entry_named_tuple(persian):
         entry.orthography = "pand"
     lex, _ = parse_lexicon("band\tband\n", persian)
     assert lex.entries == [entry] and type(lex.entries[0]) is LexEntry
+
+
+@settings(max_examples=300)
+@given(st.one_of(alphabet_and_text(), alphabet_and_text(max_symbol_size=1)))
+def test_tokens_are_inventory_symbols(case):
+    # parse_lexicon builds its Lexicon without the constructor's symbol
+    # check, as every token it stores comes from tokenize_transcription.
+    from ptrac import Lexicon
+
+    inv, text = case
+    try:
+        tokens = tokenize_transcription(text, inv)
+    except TokenizeError:
+        return
+    assert all(token in inv.phonemes for token in tokens)
+    lex, diags = parse_lexicon("w\t%s\n" % text, inv)
+    assert not diags and lex.entries[0].transcription == tokens
+    assert Lexicon(lex.entries, inv).entries == lex.entries
+
+
+ODD_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("odd", ODD_BREAKS)
+def test_odd_line_boundary_stays_inside_its_line(persian, odd):
+    # str.splitlines ends a line at these; universal newlines do not.
+    lex, diags = parse_lexicon("a%sb\tsak\nw\tsaXk\n" % odd, persian)
+    assert lex.entries == [("a%sb" % odd, ("s", "a", "k"))]
+    assert [str(d) for d in diags] == ["line 2: no inventory symbol matches 'X' at offset 2"]
+    _, diags = parse_lexicon("bad%sline\nw\tband\nw\tba5d\n" % odd, persian)
+    assert [d.line for d in diags] == [1, 3]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_line_endings(persian, newline):
+    text = "w1\tband\t3\nbad line\n\n# c\nw2\tba5d\nw3\tsatr\n".replace("\n", newline)
+    lex, diags = parse_lexicon(text, persian)
+    assert lex.entries == [("w1", ("b", "a", "n", "d")), ("w3", ("s", "a", "t", "r"))]
+    assert [d.line for d in diags] == [2, 5]
+
+
+@given(st.text(st.sampled_from("a\t\n\r\u2028\x85\x0c")))
+def test_split_lines_matches_universal_newlines(text):
+    import io
+
+    from ptrac.inventory import split_lines
+
+    read = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8").read()
+    assert split_lines(text) == read.split("\n")
