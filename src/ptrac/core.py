@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import PtracError, StudyError
+from .errors import PtracError, StudyError, SyllabifyError
 from .inventory import FEATURES, HOLE, Inventory
 from .lexicon import Lexicon
-from .syllabifier import syllabify
+from .syllabifier import syllable_spans, syllabify
 
 KINDS = ("clusters", "positions")
 WEIGHTINGS = ("type-frequency", "unweighted")
@@ -166,48 +166,28 @@ def require_distinct_texts(contexts):
                              % (a, b, context_text(a)))
 
 
-def _plan(skeleton, kind):
-    """Slice bounds ``(start, end)`` of the study sequences of a word whose
-    consonant/vowel skeleton is `skeleton` (bytes, 1 for a vowel), in word
-    order, or None when `syllabify` rejects such a word. The bounds are the
-    syllable boundaries `syllabify` draws, which depend on the skeleton
-    alone: the CVCC codas (clusters) or whole CVCC syllables (positions)."""
-    vowels = [i for i, is_vowel in enumerate(skeleton) if is_vowel]
-    if not vowels or vowels[0] != 1:  # no nucleus, or no single onset
-        return None
-    # each coda runs up to the next onset, the last one to the word's end
-    coda_ends = [v - 1 for v in vowels[1:]] + [len(skeleton)]
-    plan = []
-    for v, end in zip(vowels, coda_ends):
-        n = end - v - 1  # coda length; -1 for adjacent vowels
-        if not 0 <= n <= 2:
-            return None
-        if n == 2:
-            plan.append((v + 1 if kind == "clusters" else v - 1, end))
-    return tuple(plan)
-
-
 def _entry_plans(entries, inv: Inventory, kind: str):
-    """Each entry with its `_plan`, computed once per distinct skeleton.
-    A skeleton is bytes rather than a tuple: no tuple free list keeps
-    thousands of them alive after the pass."""
+    """Each entry with its plan: the slice bounds ``(start, end)`` of its
+    study sequences in word order, the CVCC codas (clusters) or whole CVCC
+    syllables (positions), or None when `syllabify` rejects the entry.
+    Syllable spans depend only on the consonant/vowel skeleton, so a plan
+    is computed once per distinct skeleton. A skeleton is bytes rather
+    than a tuple: no tuple free list keeps thousands of them alive after
+    the pass."""
     is_vowel = inv.vowel_map.__getitem__
+    lead = 1 if kind == "clusters" else -1  # the coda, or the whole syllable
     plans = {}
     for entry in entries:
         skeleton = bytes(map(is_vowel, entry.transcription))
         plan = plans.get(skeleton, False)  # a plan may be None or ()
         if plan is False:
-            plan = plans[skeleton] = _plan(skeleton, kind)
+            try:
+                plan = tuple((v + lead, end) for v, end in
+                             syllable_spans(entry.transcription, inv) if end - v == 3)
+            except SyllabifyError:
+                plan = None
+            plans[skeleton] = plan
         yield entry, plan
-
-
-def entry_sequences(entry, inv: Inventory, kind: str):
-    """Study sequences contributed by one lexicon entry (may raise)."""
-    t = entry.transcription
-    plan = _plan(bytes(map(inv.vowel_map.__getitem__, t)), kind)
-    if plan is None:
-        syllabify(t, inv)  # raises, naming the reason
-    return [t[o:e] for o, e in plan]
 
 
 def extract_sequences(lex: Lexicon, inv: Inventory, cfg: StudyConfig):

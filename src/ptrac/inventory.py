@@ -68,7 +68,12 @@ class FeatureSystem:
 class Inventory:
     """Immutable after construction; safe for concurrent reads.
 
-    Construction also builds the lookup tables the hot paths read:
+    The constructor is where an inventory's symbols and entries are
+    checked, also for `parse_inventory`, which passes `lines`: a map from
+    ``("phonemes", index)``, ``("pairs", pair)``, ``("features", symbol)``
+    and ``("classes", symbol)`` to the line the entry was read from, for
+    the line numbers of errors. Construction also builds the lookup tables
+    the hot paths read:
 
     * ``token_re``: an alternation of the symbols, longest first, plus the
       glottal alias when the inventory has a glottal stop; a match at an
@@ -78,21 +83,65 @@ class Inventory:
       its characters;
     * ``vowel_map``: symbol -> is_vowel;
     * ``relation``: consonant -> {consonant: feature}, the pair relation
-      of ``contrasting_feature`` (symmetric, no entry for non-contrasting
-      pairs).
+      (symmetric, no entry for non-contrasting pairs), read from the pair
+      list or from the bundles that differ in exactly one dimension.
     """
 
-    def __init__(self, phonemes, feature_system, class_map=None):
-        self.phonemes = {p.symbol: p for p in phonemes}
-        self.feature_system = feature_system
+    def __init__(self, phonemes, feature_system, class_map=None, lines=None):
+        at = (lines or {}).get
+        self.phonemes = {}
+        first = {}  # symbol -> index of the phoneme that defined it
+        for ix, p in enumerate(phonemes):
+            sym, line = p.symbol, at(("phonemes", ix))
+            if not sym or HOLE in sym:
+                raise InventoryError("symbol %r is empty or contains %r" % (sym, HOLE), line=line)
+            if _CONTROL.search(sym):
+                raise InventoryError("symbol %r contains a control character" % sym, line=line)
+            if sym in first:
+                where = at(("phonemes", first[sym]))
+                raise InventoryError("duplicate symbol %r%s" % (
+                    sym, "" if where is None else " (first defined on line %d)" % where), line=line)
+            first[sym] = ix
+            self.phonemes[sym] = p
+        self.feature_system = fs = feature_system
         self.consonants = sorted(s for s, p in self.phonemes.items() if not p.is_vowel)
         self.vowels = sorted(s for s, p in self.phonemes.items() if p.is_vowel)
         cmap = dict(class_map) if class_map is not None else {}
+        for sym in cmap:
+            self._require_consonant(sym, "class entry for", at(("classes", sym)))
+        if fs.mode == "pair-list":
+            for pair, feature in fs.pair_relation.items():
+                line = at(("pairs", pair))
+                if feature not in FEATURES:
+                    raise InventoryError("pair %s has unknown feature %r"
+                                         % ("(%s)" % ", ".join(sorted(pair)), feature), line=line)
+                if len(pair) == 1:
+                    raise InventoryError("pair maps phoneme %r to itself" % min(pair), line=line)
+                if not isinstance(pair, frozenset) or len(pair) != 2:
+                    raise InventoryError("pair %s is not a frozenset of two phonemes"
+                                         % sorted(pair), line=line)
+                for sym in sorted(pair):
+                    self._require_consonant(sym, "pair references", line)
+        elif fs.mode == "vector":
+            for sym, bundle in fs.bundles.items():
+                line = at(("features", sym))
+                if sym not in self.phonemes or self.phonemes[sym].is_vowel:
+                    raise InventoryError("feature bundle for unknown or vowel phoneme %r" % sym,
+                                         line=line)
+                if len(bundle) != len(FEATURES):
+                    raise InventoryError("feature bundle for %r has %d values, not %d"
+                                         % (sym, len(bundle), len(FEATURES)), line=line)
+        else:
+            raise InventoryError("unknown feature-system mode %r" % fs.mode)
+        if not self.consonants or not self.vowels:
+            raise InventoryError("inventory needs at least one consonant and one vowel")
+        missing = fs.mode == "vector" and [c for c in self.consonants if c not in fs.bundles]
+        if missing:
+            raise InventoryError("consonants missing feature bundles: %s" % ", ".join(missing))
         self.class_map = {
             c: cmap.get(c, DEFAULT_CLASS_MAP.get(c, "obstruent"))
             for c in self.consonants
         }
-        self._validate(cmap)
 
         # "?" in a transcription always spells the glottal stop, so a
         # literal "?" symbol (possible only via the constructor) never matches.
@@ -107,38 +156,21 @@ class Inventory:
         self.relation = {c: {} for c in self.consonants}
         for i, a in enumerate(self.consonants):
             for b in self.consonants[i + 1:]:
-                feature = contrasting_feature(self, a, b)
+                if fs.mode == "pair-list":
+                    feature = fs.pair_relation.get(frozenset((a, b)))
+                else:
+                    diffs = [f for f, va, vb in zip(FEATURES, fs.bundles[a], fs.bundles[b])
+                             if va != vb]
+                    feature = diffs[0] if len(diffs) == 1 else None
                 if feature is not None:
                     self.relation[a][b] = self.relation[b][a] = feature
 
-    def _validate(self, class_map):
-        if not self.consonants or not self.vowels:
-            raise InventoryError("inventory needs at least one consonant and one vowel")
-        for sym in self.phonemes:
-            if not sym or HOLE in sym:
-                raise InventoryError("symbol %r is empty or contains %r" % (sym, HOLE))
-            if _CONTROL.search(sym):
-                raise InventoryError("symbol %r contains a control character" % sym)
-        fs = self.feature_system
-        if fs.mode == "pair-list":
-            for pair in fs.pair_relation:
-                for sym in pair:
-                    if sym not in self.phonemes:
-                        raise InventoryError("pair references unknown phoneme %r" % sym)
-                    if self.phonemes[sym].is_vowel:
-                        raise InventoryError("pair references vowel %r" % sym)
-        else:
-            for sym in fs.bundles:
-                if sym not in self.phonemes or self.phonemes[sym].is_vowel:
-                    raise InventoryError("feature bundle for unknown or vowel phoneme %r" % sym)
-            missing = [c for c in self.consonants if c not in fs.bundles]
-            if missing:
-                raise InventoryError("consonants missing feature bundles: %s" % ", ".join(missing))
-        for sym in class_map:
-            if sym not in self.phonemes:
-                raise InventoryError("class entry for unknown phoneme %r" % sym)
-            if self.phonemes[sym].is_vowel:
-                raise InventoryError("class entry for vowel %r" % sym)
+    def _require_consonant(self, sym, entry, line):
+        """Raise unless `sym` is a consonant; `entry` begins the message."""
+        if sym not in self.phonemes:
+            raise InventoryError("%s unknown phoneme %r" % (entry, sym), line=line)
+        if self.phonemes[sym].is_vowel:
+            raise InventoryError("%s vowel %r" % (entry, sym), line=line)
 
     def is_vowel(self, symbol: str) -> bool:
         return self.vowel_map[symbol]
@@ -155,13 +187,7 @@ def contrasting_feature(inv: Inventory, a: str, b: str):
             raise InventoryError("unknown phoneme %r" % sym)
         if inv.phonemes[sym].is_vowel:
             raise InventoryError("vowel %r has no features" % sym)
-    if a == b:
-        return None
-    fs = inv.feature_system
-    if fs.mode == "pair-list":
-        return fs.pair_relation.get(frozenset((a, b)))
-    diffs = [f for f, va, vb in zip(FEATURES, fs.bundles[a], fs.bundles[b]) if va != vb]
-    return diffs[0] if len(diffs) == 1 else None
+    return inv.relation[a].get(b)
 
 
 def featural_pairs(inv: Inventory, feature: str, orientation: str = "unordered"):
@@ -206,16 +232,15 @@ def parse_inventory(text: str) -> Inventory:
     """Parse the line-oriented inventory file format.
 
     Sections: [phonemes] (required), exactly one of [features] / [pairs],
-    and optionally [classes]. Errors carry the offending line number.
+    and optionally [classes]. Errors carry the offending line number. The
+    parser checks the shape of lines and sections and the conflicts its
+    dicts would swallow; the `Inventory` constructor checks the entries.
     """
     phonemes = []
-    seen = {}
     pair_relation = {}
-    pair_lines = {}
     bundles = {}
-    bundle_lines = {}
     class_map = {}
-    class_lines = {}
+    lines = {}  # the constructor's `lines`
     sections_seen = set()
 
     for no, section, fields in _split_sections(text):
@@ -229,33 +254,21 @@ def parse_inventory(text: str) -> Inventory:
         if section == "phonemes":
             if len(fields) != 2 or fields[1] not in ("consonant", "vowel"):
                 raise InventoryError("expected '<symbol> <consonant|vowel>'", line=no)
-            sym = normalize_symbol(fields[0])
-            if HOLE in sym:
-                raise InventoryError("illegal symbol %r" % fields[0], line=no)
-            if _CONTROL.search(sym):
-                raise InventoryError("symbol %r contains a control character" % sym, line=no)
-            if sym in seen:
-                raise InventoryError(
-                    "duplicate symbol %r (first defined on line %d)" % (sym, seen[sym]),
-                    line=no,
-                )
-            seen[sym] = no
-            phonemes.append(Phoneme(sym, is_vowel=fields[1] == "vowel"))
+            lines["phonemes", len(phonemes)] = no
+            phonemes.append(Phoneme(normalize_symbol(fields[0]), is_vowel=fields[1] == "vowel"))
         elif section == "pairs":
-            if len(fields) != 3 or fields[2] not in FEATURES:
+            if len(fields) != 3:
                 raise InventoryError("expected '<symbolA> <symbolB> <manner|place|voice>'", line=no)
             a, b = normalize_symbol(fields[0]), normalize_symbol(fields[1])
-            if a == b:
-                raise InventoryError("pair maps phoneme %r to itself" % a, line=no)
             key = frozenset((a, b))
-            if key in pair_relation and pair_relation[key] != fields[2]:
+            if pair_relation.get(key, fields[2]) != fields[2]:
                 raise InventoryError(
                     "pair (%s, %s) already listed with feature %s on line %d"
-                    % (a, b, pair_relation[key], pair_lines[key]),
+                    % (a, b, pair_relation[key], lines["pairs", key]),
                     line=no,
                 )
             pair_relation[key] = fields[2]
-            pair_lines[key] = no
+            lines["pairs", key] = no
         elif section == "features":
             if len(fields) != 4 or fields[3] not in ("voiced", "voiceless"):
                 raise InventoryError(
@@ -264,8 +277,8 @@ def parse_inventory(text: str) -> Inventory:
             sym = normalize_symbol(fields[0])
             if sym in bundles:
                 raise InventoryError("duplicate feature bundle for %r" % sym, line=no)
-            bundles[sym] = (fields[1], fields[2], fields[3])
-            bundle_lines[sym] = no
+            bundles[sym] = tuple(fields[1:])
+            lines["features", sym] = no
         elif section == "classes":
             if len(fields) != 2 or fields[1] not in SEGMENT_CLASSES:
                 raise InventoryError(
@@ -273,36 +286,17 @@ def parse_inventory(text: str) -> Inventory:
                 )
             sym = normalize_symbol(fields[0])
             class_map[sym] = fields[1]
-            class_lines[sym] = no
+            lines["classes", sym] = no
         else:
             raise InventoryError("content in unknown section", line=no)
 
     if "phonemes" not in sections_seen:
         raise InventoryError("missing [phonemes] section")
     has_pairs = "pairs" in sections_seen
-    has_features = "features" in sections_seen
-    if has_pairs == has_features:
+    if has_pairs == ("features" in sections_seen):
         raise InventoryError("exactly one of [features] / [pairs] must be present")
-
     if has_pairs:
         fs = FeatureSystem(mode="pair-list", pair_relation=pair_relation)
     else:
         fs = FeatureSystem(mode="vector", bundles=bundles)
-    # Entries may name symbols of a later [phonemes] line, so they are
-    # checked here, each with its own line.
-    vowels = {p.symbol for p in phonemes if p.is_vowel}
-    for sym, no in class_lines.items():
-        if sym not in seen:
-            raise InventoryError("class entry for unknown phoneme %r" % sym, line=no)
-        if sym in vowels:
-            raise InventoryError("class entry for vowel %r" % sym, line=no)
-    for key, no in pair_lines.items():
-        for sym in sorted(key):
-            if sym not in seen:
-                raise InventoryError("pair references unknown phoneme %r" % sym, line=no)
-            if sym in vowels:
-                raise InventoryError("pair references vowel %r" % sym, line=no)
-    for sym, no in bundle_lines.items():
-        if sym not in seen or sym in vowels:
-            raise InventoryError("feature bundle for unknown or vowel phoneme %r" % sym, line=no)
-    return Inventory(phonemes, fs, class_map=class_map)
+    return Inventory(phonemes, fs, class_map=class_map, lines=lines)

@@ -37,46 +37,51 @@ class Syllable(NamedTuple):
         return "".join(self.segments)
 
 
-def syllabify(seq, inv: Inventory):
-    """Split a phoneme sequence into syllables; unique by construction."""
-    seq = tuple(seq)
+def syllable_spans(seq, inv: Inventory):
+    """The syllables of a phoneme sequence as ``(nucleus, end)`` index
+    pairs, in order: a syllable is ``seq[nucleus - 1:end]`` and its coda
+    ``seq[nucleus + 1:end]``. Raises SyllabifyError for a sequence that
+    admits no syllabification. The spans depend only on which positions
+    hold vowels."""
     if not seq:
         raise SyllabifyError("empty sequence", reason="no-nucleus")
     is_vowel = inv.vowel_map
-    vowel_ix = [i for i, s in enumerate(seq) if is_vowel[s]]
-    if not vowel_ix:
+    vowels = [i for i, s in enumerate(seq) if is_vowel[s]]
+    if not vowels:
         raise SyllabifyError("no vowel in %r" % ("".join(seq),), reason="no-nucleus")
-    if vowel_ix[0] == 0:
+    if vowels[0] == 0:
         raise SyllabifyError(
             "sequence starts with vowel %r (onset is obligatory)" % seq[0],
             reason="initial-vowel",
         )
-    if vowel_ix[0] > 1:
+    if vowels[0] > 1:
         raise SyllabifyError(
             "word-initial consonant cluster %r (onsets are single consonants)"
-            % "".join(seq[:vowel_ix[0]]),
+            % "".join(seq[:vowels[0]]),
             reason="onset-cluster",
         )
-    for a, b in zip(vowel_ix, vowel_ix[1:]):
-        if b == a + 1:
+    # each coda runs up to the next onset (the consonant before the next
+    # vowel), the last one to the end of the sequence
+    spans = list(zip(vowels, [v - 1 for v in vowels[1:]] + [len(seq)]))
+    for v, end in spans:
+        if end == v:  # the next vowel follows at once
             raise SyllabifyError(
-                "adjacent vowels at positions %d-%d" % (a, b), reason="vowel-hiatus"
+                "adjacent vowels at positions %d-%d" % (v, v + 1), reason="vowel-hiatus"
             )
-
-    syllables = []
-    for k, v in enumerate(vowel_ix):
-        if k + 1 < len(vowel_ix):
-            coda = seq[v + 1:vowel_ix[k + 1] - 1]  # last consonant is next onset
-        else:
-            coda = seq[v + 1:]
-        if len(coda) > 2:
+    for v, end in spans:
+        if end - v > 3:
             raise SyllabifyError(
                 "coda %r longer than 2 after vowel at position %d"
-                % ("".join(coda), v),
+                % ("".join(seq[v + 1:end]), v),
                 reason="coda-too-long",
             )
-        syllables.append(Syllable(seq[v - 1], seq[v], coda))
-    return syllables
+    return spans
+
+
+def syllabify(seq, inv: Inventory):
+    """Split a phoneme sequence into syllables; unique by construction."""
+    seq = tuple(seq)
+    return [Syllable(seq[v - 1], seq[v], seq[v + 1:end]) for v, end in syllable_spans(seq, inv)]
 
 
 def format_syllables(syllables) -> str:

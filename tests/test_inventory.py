@@ -3,14 +3,17 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ptrac import (
     FEATURES,
+    Inventory,
     InventoryError,
     contrasting_feature,
     featural_pairs,
     parse_inventory,
 )
+from ptrac.inventory import FeatureSystem, Phoneme
 
 
 def test_shipped_inventory_shape(persian):
@@ -75,6 +78,20 @@ def test_minimal_pairlist_inventory():
 def test_duplicate_symbol_rejected():
     with pytest.raises(InventoryError, match="line 3.*duplicate"):
         parse_inventory("[phonemes]\nb consonant\nb vowel\n[pairs]\n")
+    # b is named in [pairs] and [classes] too; each section keeps its lines
+    with pytest.raises(InventoryError) as exc:
+        parse_inventory("[phonemes]\nb consonant\nb vowel\np consonant\n[pairs]\nb p voice\n"
+                        "[classes]\nb nasal\n")
+    assert str(exc.value) == "line 3: duplicate symbol 'b' (first defined on line 2)"
+
+
+def test_symbol_error_names_the_phonemes_line():
+    # the symbol is named in [pairs] and [classes] too
+    text = ("[phonemes]\nb\x01 consonant\nb consonant\na vowel\n[pairs]\nb b\x01 voice\n"
+            "[classes]\nb\x01 nasal\n")
+    with pytest.raises(InventoryError) as exc:
+        parse_inventory(text)
+    assert str(exc.value) == "line 2: symbol 'b\\x01' contains a control character"
 
 
 def test_pair_with_two_features_names_both_lines():
@@ -194,24 +211,58 @@ def test_class_map_defaults_and_override(persian):
     assert inv.class_map["m"] == "obstruent"
 
 
-@pytest.mark.parametrize("class_map, message", [
-    ({"b": "nasal", "q": "liquid"}, "class entry for unknown phoneme 'q'"),
-    ({"a": "liquid"}, "class entry for vowel 'a'"),
-])
-def test_class_map_entry_for_unknown_or_vowel_rejected_by_constructor(class_map, message):
-    from ptrac import Inventory
-    from ptrac.inventory import FeatureSystem, Phoneme
+B, P, A = Phoneme("b", False), Phoneme("p", False), Phoneme("a", True)
+NO_PAIRS = FeatureSystem(mode="pair-list")
 
+
+def _pairs(key, feature="voice"):
+    return FeatureSystem(mode="pair-list", pair_relation={frozenset(key): feature})
+
+
+def _bundles(b, p=("stop", "labial", "voiceless")):
+    return FeatureSystem(mode="vector", bundles={"b": b, "p": p})
+
+
+INVALID_INPUTS = {
+    "class-unknown": ([B, A], NO_PAIRS, {"b": "nasal", "q": "liquid"},
+                      "class entry for unknown phoneme 'q'"),
+    "class-vowel": ([B, A], NO_PAIRS, {"a": "liquid"}, "class entry for vowel 'a'"),
+    "duplicate-symbol": ([B, P, A, Phoneme("b", True)], NO_PAIRS, None,
+                         "duplicate symbol 'b'"),
+    "self-pair": ([B, P, A], _pairs("b"), None, "pair maps phoneme 'b' to itself"),
+    "three-member-pair": ([B, P, Phoneme("d", False), A], _pairs("bpd"), None,
+                          "pair ['b', 'd', 'p'] is not a frozenset of two phonemes"),
+    "pair-feature": ([B, P, A], _pairs("bp", "nasality"), None,
+                     "pair (b, p) has unknown feature 'nasality'"),
+    "short-bundle": ([B, P, A], _bundles(("stop", "labial")), None,
+                     "feature bundle for 'b' has 2 values, not 3"),
+    "long-bundle": ([B, P, A], _bundles(("stop", "labial", "voiced", "tense")), None,
+                    "feature bundle for 'b' has 4 values, not 3"),
+    "mode": ([B, A], FeatureSystem(mode="matrix"), None,
+             "unknown feature-system mode 'matrix'"),
+}
+
+
+@pytest.mark.parametrize("phonemes, feature_system, class_map, message",
+                         INVALID_INPUTS.values(), ids=INVALID_INPUTS)
+def test_invalid_input_rejected_by_constructor(phonemes, feature_system, class_map, message):
     with pytest.raises(InventoryError) as exc:
-        Inventory([Phoneme("b", False), Phoneme("a", True)], FeatureSystem(mode="pair-list"),
-                  class_map=class_map)
+        Inventory(phonemes, feature_system, class_map=class_map)
     assert str(exc.value) == message and exc.value.line is None
 
 
 def _assert_relation_table(inv):
+    """`relation` holds what the feature system says: the listed pairs, or
+    the bundle pairs that differ in exactly one dimension."""
+    fs = inv.feature_system
     for a in inv.consonants:
         for b in inv.consonants:
-            assert inv.relation[a].get(b) == contrasting_feature(inv, a, b), (a, b)
+            if fs.mode == "pair-list":
+                want = fs.pair_relation.get(frozenset((a, b)))
+            else:
+                diffs = [FEATURES[i] for i in range(3) if fs.bundles[a][i] != fs.bundles[b][i]]
+                want = diffs[0] if len(diffs) == 1 else None
+            assert inv.relation[a].get(b) == want == contrasting_feature(inv, a, b), (a, b)
     assert set(inv.relation) == set(inv.consonants)
 
 
@@ -238,9 +289,6 @@ def test_vowel_map(persian):
 
 
 def test_empty_symbol_rejected_by_constructor():
-    from ptrac import Inventory
-    from ptrac.inventory import FeatureSystem, Phoneme
-
     with pytest.raises(InventoryError, match="empty"):
         Inventory([Phoneme("", False), Phoneme("b", False), Phoneme("a", True)],
                   FeatureSystem(mode="pair-list"))
@@ -248,9 +296,6 @@ def test_empty_symbol_rejected_by_constructor():
 
 @pytest.mark.parametrize("symbol", ["_", "t_h"])
 def test_hole_symbol_rejected_by_constructor(symbol):
-    from ptrac import Inventory
-    from ptrac.inventory import FeatureSystem, Phoneme
-
     with pytest.raises(InventoryError, match="contains"):
         Inventory([Phoneme(symbol, False), Phoneme("b", False), Phoneme("a", True)],
                   FeatureSystem(mode="pair-list"))
@@ -261,9 +306,6 @@ CONTROL_SYMBOLS = ["b\x01", "\x7fb", "\x00", "t\x9f"]
 
 @pytest.mark.parametrize("symbol", CONTROL_SYMBOLS)
 def test_control_character_symbol_rejected_by_constructor(symbol):
-    from ptrac import Inventory
-    from ptrac.inventory import FeatureSystem, Phoneme
-
     with pytest.raises(InventoryError, match="control character") as exc:
         Inventory([Phoneme(symbol, False), Phoneme("b", False), Phoneme("a", True)],
                   FeatureSystem(mode="pair-list"))
@@ -301,3 +343,68 @@ def test_line_endings(newline):
     with pytest.raises(InventoryError, match="unknown") as exc:
         parse_inventory(text.replace("\n", newline))
     assert exc.value.line == 7
+
+
+# Inventory text drawn from a token grammar: the sections an inventory
+# needs, in any order and now and then with one too many or an unknown
+# one; most of each section's valid lines and a few invalid or repeated
+# ones, in any order; and now and then a line of loose words. Tokens
+# include "?", "_", multi-character symbols and control characters.
+SECTION_LINES = {  # section -> (valid lines, invalid or repeated lines)
+    "phonemes": (["b consonant", "p consonant", "a vowel", "ts consonant", "ai vowel",
+                  "? consonant"],
+                 ["' consonant", "b vowel", "_ vowel", "t_h consonant", "b\x01 consonant",
+                  "\x7f vowel"]),
+    "pairs": (["b p voice", "ts p place", "? b manner", "p b voice"],
+              ["b b voice", "b a voice", "b q voice", "b p nasality", "p b place"]),
+    "features": (["b stop labial voiced", "p stop labial voiceless",
+                  "ts affricate coronal voiceless", "? stop glottal voiceless"],
+                 ["a stop labial voiced", "b nasal labial voiced", "q stop labial voiced"]),
+    "classes": (["b nasal", "ts obstruent"], ["a glide", "q liquid", "b liquid"]),
+}
+LOOSE_LINES = st.lists(st.sampled_from([
+    "b", "p", "ts", "a", "?", "_", "t_h", "b\x01", "\x00", "#", "[", "[]", "[tones]",
+    "consonant", "vowel", "manner", "place", "voice", "nasality", "stop", "labial", "voiced",
+    "nasal",
+]), max_size=5).map(" ".join)
+
+
+def _rarely(draw):
+    return not draw(st.integers(0, 19))
+
+
+@st.composite
+def inventory_texts(draw):
+    sections = ["phonemes", draw(st.sampled_from(["pairs", "features"]))]
+    if draw(st.booleans()):
+        sections.append("classes")
+    if _rarely(draw):
+        sections.append(draw(st.sampled_from(["pairs", "features", "tones"])))
+    if _rarely(draw):
+        sections.remove("phonemes")
+    lines = ["b consonant"] if _rarely(draw) else []
+    for section in draw(st.permutations(sections)):
+        lines.append(("# %s" if _rarely(draw) else draw(st.sampled_from(["[%s]", "[ %s ]"])))
+                     % section)
+        valid, invalid = SECTION_LINES.get(section, ([], []))
+        body = ([line for line in valid if draw(st.integers(0, 3))]
+                + [line for line in invalid if _rarely(draw)])
+        if _rarely(draw):
+            body.append(draw(LOOSE_LINES))
+        for line in draw(st.permutations(body)):
+            lines.append(line + draw(st.sampled_from(["", " # x"])))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inventory_texts())
+@example("[phonemes]\nb consonant\np consonant\na vowel\n[pairs]\nb p voice\n")
+@example("[features]\nb stop labial voiced\n[phonemes]\nb consonant\na vowel\n")
+def test_every_inventory_text_parses_or_raises_inventory_error(text):
+    try:
+        inv = parse_inventory(text)
+    except InventoryError as exc:
+        assert str(exc)
+        return
+    assert isinstance(inv, Inventory)
+    _assert_relation_table(inv)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ptrac.core
 from ptrac import Inventory, Lexicon, LexEntry, PtracError, StudyConfig, syllabify
-from ptrac.core import KINDS, ExcludedEntry, entry_sequences, extract_sequences
+from ptrac.core import KINDS, ExcludedEntry, extract_sequences
 from ptrac.inventory import FeatureSystem, Phoneme
 from randlex import make_case
 
@@ -35,22 +35,12 @@ def reference_extract(lex, inv, kind):
     return freqs, excluded
 
 
-def _outcome(sequences, entry, inv, kind):
-    try:
-        return sequences(entry, inv, kind)
-    except PtracError as exc:
-        return ("error", type(exc), str(exc))
-
-
 def assert_plans_match(lex, inv):
     for kind in KINDS:
         table, excluded = extract_sequences(lex, inv, StudyConfig(kind=kind))
         want_freqs, want_excluded = reference_extract(lex, inv, kind)
         assert list(table.freqs.items()) == list(want_freqs.items())  # insertion order too
-        assert excluded == want_excluded
-        for entry in lex.entries:
-            assert (_outcome(entry_sequences, entry, inv, kind)
-                    == _outcome(reference_entry_sequences, entry, inv, kind))
+        assert excluded == want_excluded  # exclusion messages too
 
 
 @pytest.mark.parametrize("mode", ["pair-list", "vector", "multichar"])

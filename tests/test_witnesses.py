@@ -11,8 +11,8 @@ import random
 import pytest
 
 from randlex import make_case
+from test_plans import reference_entry_sequences
 from ptrac import Lexicon, LexEntry, PtracError, StudyConfig, list_pairs_for, run_study
-from ptrac.core import entry_sequences
 from ptrac.inventory import FEATURES
 
 
@@ -40,7 +40,7 @@ def carriers(lex, inv, kind):
     words_by_seq = {}
     for entry in lex.entries:
         try:
-            seqs = entry_sequences(entry, inv, kind)
+            seqs = reference_entry_sequences(entry, inv, kind)
         except PtracError:
             continue
         for seq in seqs:
