@@ -172,10 +172,10 @@ def _cmd_list_pairs(args):
     lex, diags = parse_lexicon(_read(args.lexicon), inv)
     _warn(diags)
     cfg = StudyConfig(kind=args.study)
-    table, _ = extract_sequences(lex, inv, cfg)
+    table, _ = extract_sequences(lex, inv, cfg, carriers=True)
     pairs = enumerate_minimal_sequence_pairs(table, inv, cfg)
-    rows = list_pairs_for(pairs, args.feature, args.context, lex, inv,
-                          cfg, scheme=args.scheme, limit=args.limit)
+    rows = list_pairs_for(pairs, args.feature, args.context, lex, inv, cfg,
+                          scheme=args.scheme, limit=args.limit, carriers=table.carriers)
     for row in rows:
         p = row.pair
         wit = " ".join("(%s, %s)" % w for w in row.witnesses)

@@ -56,9 +56,12 @@ class StudyConfig:
 
 @dataclass
 class SequenceTable:
-    """Map from segment sequence to its type frequency."""
+    """Map from segment sequence to its type frequency, and, when
+    extraction was asked for it, to its carrier entries."""
 
     freqs: dict = field(default_factory=dict)  # tuple -> occurrence count
+    # tuple -> [LexEntry], in lexicon order, one item per occurrence
+    carriers: dict = None
 
     def add(self, seq):
         self.freqs[seq] = self.freqs.get(seq, 0) + 1
@@ -190,16 +193,18 @@ def _entry_plans(entries, inv: Inventory, kind: str):
         yield entry, plan
 
 
-def extract_sequences(lex: Lexicon, inv: Inventory, cfg: StudyConfig):
-    """Build the sequence-frequency table; returns (table, excluded).
+def extract_sequences(lex: Lexicon, inv: Inventory, cfg: StudyConfig, carriers: bool = False):
+    """Build the sequence-frequency table; returns (table, excluded). With
+    `carriers`, the same pass also fills `table.carriers`, the drill-down's
+    index from each sequence to the entries that carry it.
 
     Sequences are cut from each transcription by the plan of its skeleton,
     so no syllables are built; a rejected entry is syllabified once more,
     for the message of its error."""
     if lex.inventory is not inv:
         raise StudyError("lexicon was parsed against a different inventory")
-    table = SequenceTable()
-    freqs = table.freqs
+    table = SequenceTable(carriers={} if carriers else None)
+    freqs, index = table.freqs, table.carriers
     excluded = []
     for ix, (entry, plan) in enumerate(_entry_plans(lex.entries, inv, cfg.kind)):
         t = entry.transcription
@@ -212,6 +217,8 @@ def extract_sequences(lex: Lexicon, inv: Inventory, cfg: StudyConfig):
         for o, e in plan:
             seq = t[o:e]
             freqs[seq] = freqs.get(seq, 0) + 1
+            if index is not None:
+                index.setdefault(seq, []).append(entry)
     return table, excluded
 
 
@@ -326,9 +333,13 @@ class PairReportRow:
 
 
 def list_pairs_for(pairs, feature, context, lex: Lexicon, inv: Inventory,
-                   cfg: StudyConfig, scheme: str = "frame", limit: int = 5):
+                   cfg: StudyConfig, scheme: str = "frame", limit: int = 5,
+                   carriers: dict = None):
     """Drill-down report: pairs matching a feature and aggregated context,
-    each with up to `limit` witness word pairs from the lexicon."""
+    each with up to `limit` witness word pairs from the lexicon (see
+    `_witnesses`). `carriers` is `table.carriers` of
+    `extract_sequences(lex, inv, cfg, carriers=True)`; without it, the
+    lexicon is extracted again to build it."""
     if feature not in FEATURES:
         raise StudyError("unknown feature %r" % feature)
     if scheme not in SCHEMES:
@@ -345,43 +356,48 @@ def list_pairs_for(pairs, feature, context, lex: Lexicon, inv: Inventory,
                 matching.append(p)
     require_distinct_texts(sorted(keys))
 
-    words_by_seq = {}
-    for entry, plan in _entry_plans(lex.entries, inv, cfg.kind):
-        t = entry.transcription
-        for o, e in plan or ():
-            words_by_seq.setdefault(t[o:e], []).append(entry)
-    return [PairReportRow(p, _witnesses(p, words_by_seq, limit)) for p in matching]
+    if carriers is None:
+        carriers = extract_sequences(lex, inv, cfg, carriers=True)[0].carriers
+    by_text = {}  # filled by `_witnesses`
+    return [PairReportRow(p, _witnesses(p, carriers, by_text, limit)) for p in matching]
 
 
-def _witnesses(pair, words_by_seq, limit):
+def _witnesses(pair, carriers, by_text, limit):
     """Witness word pairs: words whose transcriptions differ only at the
     pair's contrasting segment, at most `limit`, ordered by the carrier of
     seq_a, then by the carrier of seq_b; without any, the first carriers of
-    each sequence. Found by neighbour lookup: each carrier of seq_a with
-    one contrasting symbol swapped for the other, looked up among the
-    carriers of seq_b by transcription."""
-    wa = words_by_seq.get(pair.seq_a, [])
-    wb = words_by_seq.get(pair.seq_b, [])
+    each sequence.
+
+    Found by neighbour lookup from the side with fewer carriers: each of
+    its carriers, with one contrasting symbol swapped for the other, is
+    looked up among the carriers of the other side by transcription. A
+    swap is its own inverse, and two swapped positions give different
+    transcriptions, so either side finds each aligned pair once. `by_text`
+    caches, per sequence, its carriers' indices by transcription."""
+    wa = carriers.get(pair.seq_a, [])
+    wb = carriers.get(pair.seq_b, [])
     a, b = pair.seq_a[pair.position], pair.seq_b[pair.position]
     swap = {a: b, b: a}
-    carriers_b = {}  # transcription -> indices in wb
-    for j, eb in enumerate(wb):
-        carriers_b.setdefault(eb.transcription, []).append(j)
-    aligned = []
-    for ea in wa:
-        ta = ea.transcription
-        hits = []
-        for i, sym in enumerate(ta):
+    flip = len(wa) > len(wb)  # scan wb, look up in wa
+    scan, seq = (wb, pair.seq_a) if flip else (wa, pair.seq_b)
+    lookup = by_text.get(seq)
+    if lookup is None:
+        lookup = by_text[seq] = {}
+        for i, entry in enumerate(carriers.get(seq, ())):
+            lookup.setdefault(entry.transcription, []).append(i)
+    aligned = []  # (index in wa, index in wb)
+    for x, entry in enumerate(scan):
+        t = entry.transcription
+        for k, sym in enumerate(t):
             if sym in swap:
-                hits += carriers_b.get(ta[:i] + (swap[sym],) + ta[i + 1:], ())
-        hits.sort()  # wb order, across the swapped positions
-        for j in hits:
-            aligned.append((ea.orthography, wb[j].orthography))
-            if len(aligned) == limit:
-                return tuple(aligned)
-    if not aligned and wa and wb:
-        aligned = [(wa[0].orthography, wb[0].orthography)]
-    return tuple(aligned)
+                for y in lookup.get(t[:k] + (swap[sym],) + t[k + 1:], ()):
+                    aligned.append((y, x) if flip else (x, y))
+    if aligned:
+        aligned.sort()
+        return tuple((wa[i].orthography, wb[j].orthography) for i, j in aligned[:limit])
+    if wa and wb:
+        return ((wa[0].orthography, wb[0].orthography),)
+    return ()
 
 
 @dataclass

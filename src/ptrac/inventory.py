@@ -107,8 +107,12 @@ class Inventory:
         self.consonants = sorted(s for s, p in self.phonemes.items() if not p.is_vowel)
         self.vowels = sorted(s for s, p in self.phonemes.items() if p.is_vowel)
         cmap = dict(class_map) if class_map is not None else {}
-        for sym in cmap:
-            self._require_consonant(sym, "class entry for", at(("classes", sym)))
+        for sym, cls in cmap.items():
+            line = at(("classes", sym))
+            self._require_consonant(sym, "class entry for", line)
+            if cls not in SEGMENT_CLASSES:
+                raise InventoryError("class entry for %r has unknown class %r" % (sym, cls),
+                                     line=line)
         if fs.mode == "pair-list":
             for pair, feature in fs.pair_relation.items():
                 line = at(("pairs", pair))
@@ -285,6 +289,12 @@ def parse_inventory(text: str) -> Inventory:
                     "expected '<symbol> <%s>'" % "|".join(SEGMENT_CLASSES), line=no
                 )
             sym = normalize_symbol(fields[0])
+            if class_map.get(sym, fields[1]) != fields[1]:
+                raise InventoryError(
+                    "symbol %r already listed with class %s on line %d"
+                    % (sym, class_map[sym], lines["classes", sym]),
+                    line=no,
+                )
             class_map[sym] = fields[1]
             lines["classes", sym] = no
         else:

@@ -159,6 +159,27 @@ def test_list_pairs(capsys, inv_path, lex_path):
     assert "(hosn, hozn)" in fields[5]
 
 
+def test_list_pairs_extracts_the_lexicon_once(capsys, monkeypatch, inv_path, lex_path):
+    import ptrac.core
+
+    kinds = []
+    entry_plans = ptrac.core._entry_plans
+
+    def counting_entry_plans(entries, inv, kind):
+        kinds.append(kind)
+        return entry_plans(entries, inv, kind)
+
+    monkeypatch.setattr(ptrac.core, "_entry_plans", counting_entry_plans)
+    code, out, _ = run(
+        capsys,
+        ["list-pairs", "--inventory", inv_path, "--lexicon", lex_path,
+         "--study", "positions", "--scheme", "position", "--feature", "voice",
+         "--context", "C2"],
+    )
+    assert code == 0 and out
+    assert kinds == ["positions"]
+
+
 def test_list_pairs_absent_context(capsys, inv_path, lex_path):
     code, out, _ = run(
         capsys,

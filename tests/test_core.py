@@ -254,6 +254,13 @@ def test_list_pairs_drilldown(fixture_lexicon, persian):
     assert list_pairs_for(report.pairs, "voice", "_b", fixture_lexicon, persian, cfg) == []
 
 
+def test_list_pairs_rejects_lexicon_of_another_inventory(fixture_lexicon, persian, mini):
+    cfg = StudyConfig()
+    report = run_study(fixture_lexicon, persian, cfg)
+    with pytest.raises(StudyError, match="different inventory"):
+        list_pairs_for(report.pairs, "voice", "_n", fixture_lexicon, mini, cfg)
+
+
 @pytest.mark.parametrize("limit", [0, -1])
 def test_list_pairs_rejects_limit_below_one(fixture_lexicon, persian, limit):
     cfg = StudyConfig()

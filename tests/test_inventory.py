@@ -133,6 +133,17 @@ def test_unknown_symbol_in_entry_carries_its_line(body, line, message):
     assert str(exc.value) == "line %d: %s" % (line, message)
 
 
+def test_conflicting_class_lines_name_the_first_line():
+    text = ENTRY_BASE + "[pairs]\nb p voice\n[classes]\nb nasal\np liquid\nb liquid\n"
+    with pytest.raises(InventoryError) as exc:
+        parse_inventory(text)
+    assert exc.value.line == 10
+    assert str(exc.value) == "line 10: symbol 'b' already listed with class nasal on line 8"
+    # the same class again is no conflict, as with [pairs]
+    inv = parse_inventory(text.replace("b liquid", "b nasal"))
+    assert inv.class_map["b"] == "nasal" and inv.class_map["p"] == "liquid"
+
+
 def test_entries_may_precede_their_phonemes():
     inv = parse_inventory("[classes]\nb nasal\n[pairs]\nb p voice\n" + ENTRY_BASE)
     assert inv.relation["b"] == {"p": "voice"} and inv.class_map["b"] == "nasal"
@@ -227,6 +238,8 @@ INVALID_INPUTS = {
     "class-unknown": ([B, A], NO_PAIRS, {"b": "nasal", "q": "liquid"},
                       "class entry for unknown phoneme 'q'"),
     "class-vowel": ([B, A], NO_PAIRS, {"a": "liquid"}, "class entry for vowel 'a'"),
+    "class-value": ([B, A], NO_PAIRS, {"b": "vowel"},
+                    "class entry for 'b' has unknown class 'vowel'"),
     "duplicate-symbol": ([B, P, A, Phoneme("b", True)], NO_PAIRS, None,
                          "duplicate symbol 'b'"),
     "self-pair": ([B, P, A], _pairs("b"), None, "pair maps phoneme 'b' to itself"),
@@ -249,6 +262,14 @@ def test_invalid_input_rejected_by_constructor(phonemes, feature_system, class_m
     with pytest.raises(InventoryError) as exc:
         Inventory(phonemes, feature_system, class_map=class_map)
     assert str(exc.value) == message and exc.value.line is None
+
+
+def test_unknown_class_value_carries_its_line():
+    with pytest.raises(InventoryError) as exc:
+        Inventory([B, P, A], NO_PAIRS, class_map={"b": "nasal", "p": "vowel"},
+                  lines={("classes", "b"): 3, ("classes", "p"): 4})
+    assert exc.value.line == 4
+    assert str(exc.value) == "line 4: class entry for 'p' has unknown class 'vowel'"
 
 
 def _assert_relation_table(inv):

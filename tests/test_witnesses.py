@@ -12,7 +12,8 @@ import pytest
 
 from randlex import make_case
 from test_plans import reference_entry_sequences
-from ptrac import Lexicon, LexEntry, PtracError, StudyConfig, list_pairs_for, run_study
+from ptrac import (Lexicon, LexEntry, PtracError, StudyConfig, enumerate_minimal_sequence_pairs,
+                   extract_sequences, list_pairs_for, run_study)
 from ptrac.inventory import FEATURES
 
 
@@ -50,9 +51,11 @@ def carriers(lex, inv, kind):
 
 def check_all_pairs(lex, inv, cfg, limits):
     """Compare every pair's row, under the total scheme, for each feature
-    and limit; return the reference rows."""
+    and limit, with and without the carrier index of `extract_sequences`;
+    return the reference rows."""
     pairs = run_study(lex, inv, cfg).pairs
     words_by_seq = carriers(lex, inv, cfg.kind)
+    index = extract_sequences(lex, inv, cfg, carriers=True)[0].carriers
     checked = []
     for feature in FEATURES:
         for limit in limits:
@@ -60,6 +63,9 @@ def check_all_pairs(lex, inv, cfg, limits):
                                   scheme="total", limit=limit)
             expected = [(p, scan_witnesses(p, words_by_seq, limit))
                         for p in pairs if p.feature == feature]
+            assert [(r.pair, r.witnesses) for r in rows] == expected
+            rows = list_pairs_for(pairs, feature, "total", lex, inv, cfg,
+                                  scheme="total", limit=limit, carriers=index)
             assert [(r.pair, r.witnesses) for r in rows] == expected
             checked.extend((p, w, limit) for p, w in expected)
     return checked
@@ -145,6 +151,26 @@ def test_witness_order_duplicates_and_both_swap_directions(persian, limit):
     rows = list_pairs_for(pairs, "voice", "_n", lex, persian, cfg, limit=limit)
     assert [("".join(r.pair.seq_a), "".join(r.pair.seq_b)) for r in rows] == [("sn", "zn")]
     assert rows[0].witnesses == DRILL_WITNESSES[:limit]
+    check_all_pairs(lex, persian, cfg, [limit])
+
+
+# three more carriers of (z, n), none aligned with a carrier of (s, n)
+UNALIGNED_ZN = [("tazn", "tazn"), ("dazn", "dazn"), ("kazn", "kazn")]
+
+
+@pytest.mark.parametrize("words, more_a", [(DRILL, True), (DRILL + UNALIGNED_ZN, False)],
+                         ids=["seq_a-more-carriers", "seq_a-fewer-carriers"])
+@pytest.mark.parametrize("limit", range(1, 12))
+def test_witnesses_alike_whichever_side_is_scanned(persian, words, more_a, limit):
+    lex = drill_lexicon(persian, words)
+    cfg = StudyConfig()
+    table, _ = extract_sequences(lex, persian, cfg, carriers=True)
+    wa, wb = table.carriers[("s", "n")], table.carriers[("z", "n")]
+    assert (len(wa) > len(wb)) == more_a
+    pairs = enumerate_minimal_sequence_pairs(table, persian, cfg)
+    rows = list_pairs_for(pairs, "voice", "_n", lex, persian, cfg, limit=limit,
+                          carriers=table.carriers)
+    assert [r.witnesses for r in rows] == [DRILL_WITNESSES[:limit]]
     check_all_pairs(lex, persian, cfg, [limit])
 
 
