@@ -7,6 +7,7 @@ Results go to standard output (or --out); diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
 import sys
 
@@ -22,7 +23,7 @@ from .core import (
     list_pairs_for,
     run_study,
 )
-from .errors import PtracError, StudyError
+from .errors import InventoryError, LexiconError, PtracError, StudyError
 from .inventory import FEATURES, parse_inventory, featural_pairs
 from .lexicon import parse_lexicon, tokenize_transcription
 from .oracle import oracle_matrix
@@ -81,13 +82,25 @@ def _build_parser():
     return p
 
 
-def _read(path):
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return fh.read()
+def _read(path, error):
+    """The text of a UTF-8 file, less a leading byte-order mark. Bytes that
+    are not UTF-8 raise `error` (LexiconError or InventoryError), naming
+    the line, counted as `split_lines` counts it, and the byte offset in
+    the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    try:
+        return raw[bom:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = bom + exc.start
+        line = 1 + raw.count(b"\n", 0, at) + raw.count(b"\r", 0, at) - raw.count(b"\r\n", 0, at)
+        raise error("line %d: byte 0x%02x at offset %d of %s is not valid UTF-8"
+                    % (line, raw[at], at, path)) from None
 
 
 def _load_inventory(path):
-    return parse_inventory(_read(path))
+    return parse_inventory(_read(path, InventoryError))
 
 
 def _warn(lines):
@@ -108,7 +121,7 @@ def _cmd_syllabify(args):
     inv = _load_inventory(args.inventory)
     failures = 0
     if args.lexicon:
-        lex, diags = parse_lexicon(_read(args.lexicon), inv)
+        lex, diags = parse_lexicon(_read(args.lexicon, LexiconError), inv)
         _warn(diags)
         items = [(e.orthography, e.transcription) for e in lex.entries]
     else:
@@ -142,7 +155,7 @@ def _cmd_pairs(args):
 
 def _cmd_analyze(args):
     inv = _load_inventory(args.inventory)
-    lex, diags = parse_lexicon(_read(args.lexicon), inv, strict=args.strict)
+    lex, diags = parse_lexicon(_read(args.lexicon, LexiconError), inv, strict=args.strict)
     cfg = StudyConfig(kind=args.study, weighting=args.weighting,
                       orientation=args.orientation, feature=args.feature)
     warnings = list(diags)
@@ -169,7 +182,7 @@ def _cmd_list_pairs(args):
     if args.limit < 1:
         raise StudyError("limit must be at least 1, got %d" % args.limit)
     inv = _load_inventory(args.inventory)
-    lex, diags = parse_lexicon(_read(args.lexicon), inv)
+    lex, diags = parse_lexicon(_read(args.lexicon, LexiconError), inv)
     _warn(diags)
     cfg = StudyConfig(kind=args.study)
     table, _ = extract_sequences(lex, inv, cfg, carriers=True)

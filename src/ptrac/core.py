@@ -222,47 +222,93 @@ def extract_sequences(lex: Lexicon, inv: Inventory, cfg: StudyConfig, carriers: 
     return table, excluded
 
 
-def _neighbours(inv: Inventory, cfg: StudyConfig):
-    """Each consonant's relation neighbours `(y, feature)` that the study
-    pairs it with: of `cfg.feature` alone when it filters one, and in an
-    unordered study only those with y > x, so that a pair is found once,
-    from its smaller member."""
-    ordered = cfg.orientation == "ordered"
-    return {
-        x: [(y, f) for y, f in rel.items()
-            if (ordered or y > x) and (cfg.feature is None or f == cfg.feature)]
-        for x, rel in inv.relation.items()
-    }
+def _encode(freqs, inv: Inventory):
+    """The coded table, integer -> frequency in table order, and the bit
+    shift of each position. A sequence's integer holds the codes of its
+    symbols (see `Inventory`), first symbol highest, padded on the right
+    with code 0 to the longest sequence's length. Symbol codes are ordered
+    as the symbols are and no symbol is code 0, so the integers are
+    ordered as the tuples are, also across lengths. A symbol outside the
+    inventory is a StudyError."""
+    bits = inv.code_bits
+    shifts = range((max(map(len, freqs), default=0) - 1) * bits, -1, -bits)
+    at = [{sym: code << shift for code, sym in enumerate(inv.code_symbols) if code}
+          for shift in shifts]
+    try:
+        return {sum(map(dict.__getitem__, at, seq)): f for seq, f in freqs.items()}, shifts
+    except KeyError as exc:
+        raise StudyError("sequence symbol %r is not in the inventory" % exc.args[0]) from None
+
+
+def _passes(inv: Inventory, cfg: StudyConfig, shifts):
+    """The walk's passes over positions, as ``(shift, steps)``: ``steps[x]``
+    lists ``(delta, feature index)`` for each consonant that code x is
+    swapped for, in code order, of `cfg.feature` alone when it filters one.
+    Adding delta to a sequence swaps the symbol at that shift. Up passes
+    swap for larger codes, from the last position to the first; an ordered
+    study first makes down passes, first position to last. A sequence's
+    neighbours so come out in tuple order, each pair of an unordered study
+    once, from its smaller member."""
+    codes = inv.codes
+    up = [[] for _ in inv.code_symbols]
+    down = [[] for _ in inv.code_symbols]
+    for x, rel in inv.relation.items():
+        cx = codes[x]
+        for y, feature in rel.items():  # in symbol order, so in code order
+            if cfg.feature is None or feature == cfg.feature:
+                cy = codes[y]
+                (up if cy > cx else down)[cx].append((cy - cx, FEATURES.index(feature)))
+    passes = [(shift, [[(d << shift, f) for d, f in st] for st in up]) for shift in shifts]
+    passes.reverse()
+    if cfg.orientation == "ordered":
+        passes[:0] = [(shift, [[(d << shift, f) for d, f in st] for st in down])
+                      for shift in shifts]
+    return passes
+
+
+def _walk(coded, inv: Inventory, cfg: StudyConfig, shifts):
+    """Yield ``(a, b, key, weight)`` for each minimal pair of the coded
+    table `coded` (see `_encode`), ordered by a, then
+    b. `key` is ``frame << 2 | feature index``, where the frame is a with
+    code 0 (HOLE) at the differing position, and `weight` is
+    min(freq(a), freq(b)).
+
+    A neighbour of a is a with one consonant swapped for one it contrasts
+    with in exactly one feature, ``a + delta``; it pairs with a iff it is
+    in the table. The cost grows with the number of sequences and the
+    degree of the pair relation."""
+    mask = (1 << inv.code_bits) - 1
+    passes = _passes(inv, cfg, shifts)
+    get = coded.get
+    for a in sorted(coded):
+        fa = coded[a]
+        for shift, steps in passes:
+            x = a >> shift & mask
+            st = steps[x]
+            if st:
+                base = (a - (x << shift)) << 2  # the frame, shifted for its key
+                for d, f in st:
+                    b = a + d
+                    fb = get(b)
+                    if fb is not None:
+                        yield a, b, base | f, fa if fa < fb else fb
 
 
 def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: StudyConfig):
     """All minimal sequence pairs among the table's sequences, ordered by
-    (seq_a, seq_b, position).
+    (seq_a, seq_b, position); the pairs hold the table's own key objects.
 
     Sequences pair up iff they have equal length and differ at exactly one
     position whose two segments are consonants contrasting in exactly one
     feature. Unordered orientation emits each pair once (lexicographically
     smaller member first); ordered emits both orientations.
     """
-    # Neighbour generation: swap each consonant of a sequence for each of
-    # its `_neighbours` and look the result up. The lookup goes through
-    # `canon` so that pairs hold the table's own keys.
-    freqs = table.freqs
-    canon = {seq: seq for seq in freqs}
-    neighbours = _neighbours(inv, cfg)
-    pairs = []
-    for a in sorted(freqs):
-        hits = []
-        for pos, x in enumerate(a):
-            head, tail = a[:pos], a[pos + 1:]
-            for y, feature in neighbours.get(x, ()):
-                b = canon.get(head + (y,) + tail)
-                if b is not None:
-                    hits.append(MinimalSequencePair(a, b, pos, feature,
-                                                    min(freqs[a], freqs[b])))
-        hits.sort()  # by seq_b: seq_a is shared, and no seq_b is hit twice
-        pairs += hits
-    return pairs
+    coded, shifts = _encode(table.freqs, inv)
+    seqs = dict(zip(coded, table.freqs))
+    last, bits = len(shifts) - 1, inv.code_bits
+    return [MinimalSequencePair(seqs[a], seqs[b], last - ((a ^ b).bit_length() - 1) // bits,
+                                FEATURES[key & 3], weight)
+            for a, b, key, weight in _walk(coded, inv, cfg, shifts)]
 
 
 def count_contrasts(pairs, cfg: StudyConfig) -> ContrastMatrix:
@@ -277,32 +323,40 @@ def count_contrasts(pairs, cfg: StudyConfig) -> ContrastMatrix:
 
 def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig) -> ContrastMatrix:
     """The frame-granularity contrast matrix of the table's minimal pairs,
-    counted as `_neighbours` finds them: the same cells as `count_contrasts`
-    of `enumerate_minimal_sequence_pairs`, without building a pair, and
-    with one frame per sequence and position that has a pair."""
-    freqs = table.freqs
-    neighbours = _neighbours(inv, cfg)
+    counted as `_walk` finds them: the same cells as `count_contrasts` of
+    `enumerate_minimal_sequence_pairs`, without building a pair. Cells are
+    counted under integer keys; each frame is decoded to its tuple once."""
+    coded, shifts = _encode(table.freqs, inv)
+    acc = {}  # key -> [summed weight, pairs]
+    for _, _, key, weight in _walk(coded, inv, cfg, shifts):
+        rec = acc.get(key)
+        if rec is None:
+            rec = acc[key] = [0, 0]
+        rec[0] += weight
+        rec[1] += 1
+    del coded
     weighted = cfg.weighting == "type-frequency"
-    acc = {}  # (frame, feature) -> [weighted, pairs]
-    for a in sorted(freqs):  # cell order follows the sequences, not the lexicon
-        fa = freqs[a]
-        for pos, x in enumerate(a):
-            head, tail = a[:pos], a[pos + 1:]
-            frame = None
-            for y, feature in neighbours.get(x, ()):
-                fb = freqs.get(head + (y,) + tail)
-                if fb is None:
-                    continue
-                if frame is None:
-                    frame = head + (HOLE,) + tail
-                rec = acc.get((frame, feature))
-                if rec is None:
-                    rec = acc[frame, feature] = [0, 0]
-                rec[0] += min(fa, fb) if weighted else 1
-                rec[1] += 1
-    return ContrastMatrix(cells={key: Cell(w, n) for key, (w, n) in acc.items()},
-                          features=(cfg.feature,) if cfg.feature else FEATURES,
+    mask, symbols = (1 << inv.code_bits) - 1, inv.code_symbols
+    frames, cells = {}, {}
+    for key, (w, n) in acc.items():
+        frame = frames.get(key >> 2)
+        if frame is None:
+            frame = frames[key >> 2] = _decode_frame(key >> 2, shifts, mask, symbols)
+        cells[frame, FEATURES[key & 3]] = Cell(w if weighted else n, n)
+    return ContrastMatrix(cells=cells, features=(cfg.feature,) if cfg.feature else FEATURES,
                           scheme="frame", kind=cfg.kind)
+
+
+def _decode_frame(code, shifts, mask, symbols) -> tuple:
+    """The frame tuple of a coded frame: its symbols run to the hole (the
+    first code 0) or to its last nonzero code, whichever is later; later
+    zeros pad a sequence shorter than the table's longest."""
+    digits = [code >> shift & mask for shift in shifts]
+    if not digits[-1]:
+        hole = digits.index(0)
+        while len(digits) > hole + 1 and not digits[-1]:
+            digits.pop()
+    return tuple([symbols[d] for d in digits])
 
 
 def aggregate(matrix: ContrastMatrix, scheme: str, inv: Inventory = None) -> ContrastMatrix:

@@ -83,8 +83,13 @@ class Inventory:
       its characters;
     * ``vowel_map``: symbol -> is_vowel;
     * ``relation``: consonant -> {consonant: feature}, the pair relation
-      (symmetric, no entry for non-contrasting pairs), read from the pair
-      list or from the bundles that differ in exactly one dimension.
+      (symmetric, no entry for non-contrasting pairs, each consonant's
+      entries in symbol order), read from the pair list or from the
+      bundles that differ in exactly one dimension;
+    * ``code_symbols``, ``codes`` and ``code_bits``: the integer codes of
+      the sequence walk in `core`. ``HOLE`` is code 0 and the symbols are
+      codes 1..n in sorted order, so ``code_symbols[code]`` is a code's
+      symbol; ``code_bits`` is the width of n in bits.
     """
 
     def __init__(self, phonemes, feature_system, class_map=None, lines=None):
@@ -168,6 +173,9 @@ class Inventory:
                     feature = diffs[0] if len(diffs) == 1 else None
                 if feature is not None:
                     self.relation[a][b] = self.relation[b][a] = feature
+        self.code_symbols = (HOLE, *sorted(self.phonemes))
+        self.codes = {s: c for c, s in enumerate(self.code_symbols)}
+        self.code_bits = len(self.phonemes).bit_length()
 
     def _require_consonant(self, sym, entry, line):
         """Raise unless `sym` is a consonant; `entry` begins the message."""

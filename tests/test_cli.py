@@ -1,11 +1,13 @@
 """CLI contract tests: subcommands, exit codes, determinism."""
 
 import gc
+import itertools
 
 import pytest
 
 from ptrac import StudyError, data
 from ptrac.cli import cli_main
+from ptrac.core import KINDS, ORIENTATIONS, SCHEMES, WEIGHTINGS
 
 
 @pytest.fixture(scope="module")
@@ -115,12 +117,17 @@ def test_analyze_invalid_inventory(capsys, tmp_path, lex_path):
 
 
 def test_analyze_oracle_flag_agrees(capsys, inv_path, lex_path):
-    base = ["analyze", "--inventory", inv_path, "--lexicon", lex_path,
-            "--study", "clusters", "--aggregate", "frame", "--format", "csv"]
-    code1, out1, _ = run(capsys, base)
-    code2, out2, _ = run(capsys, base + ["--oracle"])
-    assert code1 == code2 == 0
-    assert out1 == out2
+    for study, scheme, orientation, weighting in itertools.product(
+            KINDS, SCHEMES, ORIENTATIONS, WEIGHTINGS):
+        if scheme == "position" and study != "positions":
+            continue
+        argv = ["analyze", "--inventory", inv_path, "--lexicon", lex_path, "--study", study,
+                "--aggregate", scheme, "--orientation", orientation, "--weighting", weighting]
+        code1, out1, _ = run(capsys, argv)
+        code2, out2, _ = run(capsys, argv + ["--oracle"])
+        assert code1 == code2 == 0
+        assert out1 == out2, argv
+        assert out1.count("\n") > 1, argv  # a matrix, not just the header
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "markdown", "svg"])
@@ -269,6 +276,35 @@ def test_lexicon_with_bom(capsys, inv_path, tmp_path):
     )
     assert code == 0
     assert out.endswith("\t(hosn, hozn)\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "syllabify", "list-pairs"])
+@pytest.mark.parametrize("raw, line, offset", [
+    (b"ab\tsa\xffk\n", 1, 5),
+    (b"\xef\xbb\xbfab\tsak\r\ncd\tsa\xffk\n", 2, 16),  # the mark counts, \r\n is one break
+    (b"# x\r# y\n\n\xc3", 4, 9),  # a lone \r ends a line; a sequence cut short
+])
+def test_non_utf8_lexicon_is_a_validation_error(capsys, inv_path, tmp_path, command,
+                                                 raw, line, offset):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(raw)
+    argv = {"analyze": ["--study", "positions"], "syllabify": [],
+            "list-pairs": ["--study", "clusters", "--feature", "voice", "--context", "_r"]}
+    code, out, err = run(capsys, [command, "--inventory", inv_path, "--lexicon", str(bad),
+                                  *argv[command]])
+    assert (code, out) == (2, "")
+    assert err == "error: line %d: byte 0x%02x at offset %d of %s is not valid UTF-8\n" % (
+        line, raw[offset], offset, bad)
+
+
+@pytest.mark.parametrize("command", ["pairs", "analyze"])
+def test_non_utf8_inventory_is_a_validation_error(capsys, lex_path, tmp_path, command):
+    bad = tmp_path / "bad.inv"
+    bad.write_bytes(b"\xff\xfe[phonemes]\n")  # a UTF-16 byte-order mark
+    argv = ["--lexicon", lex_path, "--study", "clusters"] if command == "analyze" else []
+    code, out, err = run(capsys, [command, "--inventory", str(bad), *argv])
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: byte 0xff at offset 0 of %s is not valid UTF-8\n" % bad
 
 
 @pytest.mark.parametrize("command", [

@@ -274,7 +274,8 @@ def test_unknown_class_value_carries_its_line():
 
 def _assert_relation_table(inv):
     """`relation` holds what the feature system says: the listed pairs, or
-    the bundle pairs that differ in exactly one dimension."""
+    the bundle pairs that differ in exactly one dimension, each
+    consonant's in symbol order."""
     fs = inv.feature_system
     for a in inv.consonants:
         for b in inv.consonants:
@@ -284,6 +285,7 @@ def _assert_relation_table(inv):
                 diffs = [FEATURES[i] for i in range(3) if fs.bundles[a][i] != fs.bundles[b][i]]
                 want = diffs[0] if len(diffs) == 1 else None
             assert inv.relation[a].get(b) == want == contrasting_feature(inv, a, b), (a, b)
+        assert list(inv.relation[a]) == sorted(inv.relation[a])
     assert set(inv.relation) == set(inv.consonants)
 
 
