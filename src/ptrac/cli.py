@@ -26,7 +26,6 @@ from .core import (
 from .errors import InventoryError, LexiconError, PtracError, StudyError
 from .inventory import FEATURES, parse_inventory, featural_pairs
 from .lexicon import parse_lexicon, tokenize_transcription
-from .oracle import oracle_matrix
 from .report import FORMATS, RenderSpec, render
 from .syllabifier import format_syllables, syllabify
 
@@ -69,7 +68,6 @@ def _build_parser():
     an.add_argument("--out")
     an.add_argument("--strict", action="store_true",
                     help="treat lexicon diagnostics as fatal")
-    an.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
 
     lp = sub.add_parser("list-pairs", help="drill into one feature/context")
     lp.add_argument("--inventory", required=True)
@@ -160,21 +158,15 @@ def _cmd_analyze(args):
                       orientation=args.orientation, feature=args.feature)
     warnings = list(diags)
     try:  # the diagnostics are written also if the study fails
-        if args.oracle:
-            matrix = oracle_matrix(lex, inv, cfg)
-            excluded = extract_sequences(lex, inv, cfg)[1]
-        else:
-            report = run_study(lex, inv, cfg)
-            matrix = report.matrix
-            excluded = report.excluded
+        report = run_study(lex, inv, cfg)
         warnings += ["entry %d (%s) excluded: %s" % (ex.index, ex.orthography, ex.reason)
-                     for ex in excluded]
+                     for ex in report.excluded]
     finally:
         _warn(warnings)
     spec = RenderSpec(format=args.format, scheme=args.aggregate)
-    meta = {"diagnostics": len(diags) + len(excluded),
+    meta = {"diagnostics": len(diags) + len(report.excluded),
             "weighting": cfg.weighting, "orientation": cfg.orientation}
-    _emit(render(matrix, spec, inv=inv, meta=meta), args.out)
+    _emit(render(report.matrix, spec, inv=inv, meta=meta), args.out)
     return EXIT_OK
 
 

@@ -63,9 +63,6 @@ class SequenceTable:
     # tuple -> [LexEntry], in lexicon order, one item per occurrence
     carriers: dict = None
 
-    def add(self, seq):
-        self.freqs[seq] = self.freqs.get(seq, 0) + 1
-
     def __len__(self):
         return len(self.freqs)
 
@@ -99,7 +96,7 @@ class Cell:
 @dataclass
 class ContrastMatrix:
     """Grid of contrast counts indexed by (context key, feature); the keys
-    are those of `context_key`, frame tuples under the frame scheme."""
+    are those of `scheme_key`, frame tuples under the frame scheme."""
 
     cells: dict = field(default_factory=dict)  # (context, feature) -> Cell
     features: tuple = FEATURES
@@ -120,37 +117,37 @@ class ContrastMatrix:
         cell.weighted += weighted
         cell.pairs += pairs
 
-    def same_cells(self, other) -> bool:
-        keys = set(self.cells) | set(other.cells)
-        return all(
-            self.cell(*k).weighted == other.cell(*k).weighted
-            and self.cell(*k).pairs == other.cell(*k).pairs
-            for k in keys
-        )
-
 
 def frame_of(seq, position) -> tuple:
     """The sequence with HOLE at `position`."""
     return seq[:position] + (HOLE,) + seq[position + 1:]
 
 
-def context_key(frame, scheme: str, inv: Inventory = None):
-    """Context of a frame under an aggregation scheme, or None if it has
-    none: following-segment and following-class (which needs `inv`) key on
-    the segment after the hole, position maps C V C C holes to C1/C2/C3."""
+def scheme_key(scheme: str, kind: str, inv: Inventory = None):
+    """The context function of an aggregation scheme for a study kind:
+    ``key(seq, position)`` is the context of a pair whose sequences differ
+    at `position`, or None when the scheme leaves the pair out. Frame keys
+    are frame tuples (see `frame_of`); following-segment and
+    following-class (which needs `inv`) key on the segment after the
+    hole; position maps the C V C C holes to C1/C2/C3 and needs a
+    positions study. An unknown scheme, or one the study cannot take, is a
+    StudyError."""
+    if scheme not in SCHEMES:
+        raise StudyError("unknown aggregation scheme %r" % scheme)
+    if scheme == "position" and kind != "positions":
+        raise StudyError("position scheme requires a positions study")
+    if scheme == "following-class" and inv is None:
+        raise StudyError("following-class aggregation needs the inventory")
     if scheme == "frame":
-        return frame
+        return frame_of
     if scheme == "total":
-        return "total"
-    pos = frame.index(HOLE)
+        return lambda seq, pos: "total"
     if scheme == "position":
-        return "C%d" % (1 if pos == 0 else pos)
-    if pos + 1 == len(frame):
-        return None
-    nxt = frame[pos + 1]
+        return lambda seq, pos: "C%d" % (pos or 1)
     if scheme == "following-segment":
-        return HOLE + nxt
-    return None if inv.is_vowel(nxt) else inv.class_map[nxt]
+        return lambda seq, pos: HOLE + seq[pos + 1] if pos + 1 < len(seq) else None
+    classes = inv.class_map  # consonants only, so a vowel gets None
+    return lambda seq, pos: classes.get(seq[pos + 1]) if pos + 1 < len(seq) else None
 
 
 def context_text(key) -> str:
@@ -360,23 +357,16 @@ def _decode_frame(code, shifts, mask, symbols) -> tuple:
 
 
 def aggregate(matrix: ContrastMatrix, scheme: str, inv: Inventory = None) -> ContrastMatrix:
-    """Merge frame contexts under an aggregation scheme (see `context_key`);
+    """Merge frame contexts under an aggregation scheme (see `scheme_key`);
     sum-preserving over the frames the scheme covers."""
-    if scheme not in SCHEMES:
-        raise StudyError("unknown aggregation scheme %r" % scheme)
+    key_of = scheme_key(scheme, matrix.kind, inv)
     if matrix.scheme != "frame":
         raise StudyError("matrix already aggregated (%s)" % matrix.scheme)
-    if scheme == "position" and matrix.kind != "positions":
-        raise StudyError("position scheme requires a positions study")
-    if scheme == "following-class" and inv is None:
-        raise StudyError("following-class aggregation needs the inventory")
-
     out = ContrastMatrix(features=matrix.features, scheme=scheme, kind=matrix.kind)
     for (frame, feature), cell in matrix.cells.items():
-        key = context_key(frame, scheme, inv)
-        if key is None:
-            continue
-        out.add(key, feature, cell.weighted, cell.pairs)
+        key = key_of(frame, frame.index(HOLE))
+        if key is not None:
+            out.add(key, feature, cell.weighted, cell.pairs)
     return out
 
 
@@ -391,19 +381,19 @@ def list_pairs_for(pairs, feature, context, lex: Lexicon, inv: Inventory,
                    carriers: dict = None):
     """Drill-down report: pairs matching a feature and aggregated context,
     each with up to `limit` witness word pairs from the lexicon (see
-    `_witnesses`). `carriers` is `table.carriers` of
+    `_witnesses`). Contexts are those of `scheme_key`, so a scheme
+    `aggregate` refuses for the study is refused here too. `carriers` is `table.carriers` of
     `extract_sequences(lex, inv, cfg, carriers=True)`; without it, the
     lexicon is extracted again to build it."""
     if feature not in FEATURES:
         raise StudyError("unknown feature %r" % feature)
-    if scheme not in SCHEMES:
-        raise StudyError("unknown aggregation scheme %r" % scheme)
+    key_of = scheme_key(scheme, cfg.kind, inv)
     if limit < 1:
         raise StudyError("limit must be at least 1, got %d" % limit)
 
     matching, keys = [], set()
     for p in pairs:
-        key = context_key(frame_of(p.seq_a, p.position), scheme, inv)
+        key = key_of(p.seq_a, p.position)
         if key is not None and context_text(key) == context:
             keys.add(key)
             if p.feature == feature:

@@ -5,9 +5,11 @@ import itertools
 
 import pytest
 
-from ptrac import StudyError, data
+from ptrac import StudyConfig, StudyError, data, parse_lexicon
 from ptrac.cli import cli_main
 from ptrac.core import KINDS, ORIENTATIONS, SCHEMES, WEIGHTINGS
+from ptrac.oracle import oracle_matrix
+from ptrac.report import RenderSpec, render
 
 
 @pytest.fixture(scope="module")
@@ -116,29 +118,36 @@ def test_analyze_invalid_inventory(capsys, tmp_path, lex_path):
     assert code == 2
 
 
-def test_analyze_oracle_flag_agrees(capsys, inv_path, lex_path):
+def test_analyze_oracle_flag_agrees(capsys, persian, inv_path, lex_path):
+    # `analyze` prints the rendering of the brute-force oracle's matrix.
+    lex, diags = parse_lexicon(data.voicing_fixture_text(), persian)
     for study, scheme, orientation, weighting in itertools.product(
             KINDS, SCHEMES, ORIENTATIONS, WEIGHTINGS):
         if scheme == "position" and study != "positions":
             continue
-        argv = ["analyze", "--inventory", inv_path, "--lexicon", lex_path, "--study", study,
-                "--aggregate", scheme, "--orientation", orientation, "--weighting", weighting]
-        code1, out1, _ = run(capsys, argv)
-        code2, out2, _ = run(capsys, argv + ["--oracle"])
-        assert code1 == code2 == 0
-        assert out1 == out2, argv
-        assert out1.count("\n") > 1, argv  # a matrix, not just the header
+        cfg = StudyConfig(kind=study, weighting=weighting, orientation=orientation)
+        meta = {"diagnostics": len(diags), "weighting": weighting, "orientation": orientation}
+        for fmt in ("csv", "json"):
+            argv = ["analyze", "--inventory", inv_path, "--lexicon", lex_path, "--study", study,
+                    "--aggregate", scheme, "--orientation", orientation,
+                    "--weighting", weighting, "--format", fmt]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            assert out == render(oracle_matrix(lex, persian, cfg),
+                                 RenderSpec(format=fmt, scheme=scheme),
+                                 inv=persian, meta=meta), argv
+            assert out.count("\n") > 1, argv  # a matrix, not just the header
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "markdown", "svg"])
 def test_analyze_oracle_flag_reports_excluded_entries(capsys, inv_path, tmp_path, fmt):
     lex = tmp_path / "lex.tsv"
     lex.write_text("band\tband\npand\tpand\nakt\takt\nsard\tsard\n", encoding="utf-8")
-    base = ["analyze", "--inventory", inv_path, "--lexicon", str(lex),
-            "--study", "clusters", "--format", fmt]
-    engine = run(capsys, base)
-    assert engine[0] == 0 and "entry 2 (akt) excluded" in engine[2]
-    assert run(capsys, base + ["--oracle"]) == engine
+    code, out, err = run(capsys, ["analyze", "--inventory", inv_path, "--lexicon", str(lex),
+                                  "--study", "clusters", "--format", fmt])
+    assert code == 0 and out
+    assert err == ("warning: entry 2 (akt) excluded: sequence starts with vowel 'a' "
+                   "(onset is obligatory)\n")
 
 
 def test_analyze_out_file(capsys, inv_path, lex_path, tmp_path):
@@ -356,6 +365,27 @@ def test_stderr_text_and_order(capsys, inv_path, tmp_path, command, code, err):
     got = run(capsys, command[:1] + ["--inventory", inv_path, "--lexicon", str(lex)]
               + command[1:])
     assert got[0] == code and got[2] == err
+
+
+@pytest.mark.parametrize("lexicon, warnings", [
+    (None, ""),
+    (MIXED_LEXICON, MIXED_DIAGNOSTICS),
+], ids=["fixture", "warnings"])
+def test_list_pairs_refuses_a_scheme_analyze_refuses(capsys, inv_path, lex_path, tmp_path,
+                                                     lexicon, warnings):
+    # The position scheme needs a positions study: the drill-down exits as
+    # `analyze` does, after the lexicon warnings, and prints no rows.
+    if lexicon is not None:
+        lex_path = str(tmp_path / "mixed.tsv")
+        (tmp_path / "mixed.tsv").write_text(lexicon, encoding="utf-8")
+    base = ["--inventory", inv_path, "--lexicon", lex_path, "--study", "clusters"]
+    code, out, err = run(capsys, ["list-pairs", *base, "--scheme", "position",
+                                  "--feature", "voice", "--context", "C1"])
+    message = "error: position scheme requires a positions study\n"
+    assert (code, out, err) == (2, "", warnings + message)
+    code, out, err = run(capsys, ["analyze", *base, "--aggregate", "position"])
+    assert (code, out) == (2, "")
+    assert err.startswith(warnings) and err.endswith(message)
 
 
 def test_analyze_diagnostics_written_before_a_failing_study(capsys, monkeypatch, inv_path,

@@ -18,11 +18,7 @@ from ptrac.core import MinimalSequencePair, SequenceTable
 
 
 def table_of(freqs):
-    t = SequenceTable()
-    for seq, n in freqs.items():
-        for _ in range(n):
-            t.add(tuple(seq))
-    return t
+    return SequenceTable(freqs={tuple(seq): n for seq, n in freqs.items()})
 
 
 def joined(table):
