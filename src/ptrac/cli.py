@@ -22,9 +22,10 @@ from .core import (
     extract_sequences,
     list_pairs_for,
     run_study,
+    scheme_key,
 )
 from .errors import InventoryError, LexiconError, PtracError, StudyError
-from .inventory import FEATURES, parse_inventory, featural_pairs
+from .inventory import FEATURES, parse_inventory, featural_pairs, split_lines
 from .lexicon import parse_lexicon, tokenize_transcription
 from .report import FORMATS, RenderSpec, render
 from .syllabifier import format_syllables, syllabify
@@ -92,7 +93,7 @@ def _read(path, error):
         return raw[bom:].decode("utf-8")
     except UnicodeDecodeError as exc:
         at = bom + exc.start
-        line = 1 + raw.count(b"\n", 0, at) + raw.count(b"\r", 0, at) - raw.count(b"\r\n", 0, at)
+        line = len(split_lines(raw[bom:at].decode("utf-8")))
         raise error("line %d: byte 0x%02x at offset %d of %s is not valid UTF-8"
                     % (line, raw[at], at, path)) from None
 
@@ -154,15 +155,13 @@ def _cmd_pairs(args):
 def _cmd_analyze(args):
     inv = _load_inventory(args.inventory)
     lex, diags = parse_lexicon(_read(args.lexicon, LexiconError), inv, strict=args.strict)
+    _warn(diags)
+    scheme_key(args.aggregate, args.study, inv)  # refuses a scheme the study cannot take
     cfg = StudyConfig(kind=args.study, weighting=args.weighting,
                       orientation=args.orientation, feature=args.feature)
-    warnings = list(diags)
-    try:  # the diagnostics are written also if the study fails
-        report = run_study(lex, inv, cfg)
-        warnings += ["entry %d (%s) excluded: %s" % (ex.index, ex.orthography, ex.reason)
-                     for ex in report.excluded]
-    finally:
-        _warn(warnings)
+    report = run_study(lex, inv, cfg)
+    _warn(["entry %d (%s) excluded: %s" % (ex.index, ex.orthography, ex.reason)
+           for ex in report.excluded])
     spec = RenderSpec(format=args.format, scheme=args.aggregate)
     meta = {"diagnostics": len(diags) + len(report.excluded),
             "weighting": cfg.weighting, "orientation": cfg.orientation}
@@ -176,6 +175,7 @@ def _cmd_list_pairs(args):
     inv = _load_inventory(args.inventory)
     lex, diags = parse_lexicon(_read(args.lexicon, LexiconError), inv)
     _warn(diags)
+    scheme_key(args.scheme, args.study, inv)  # refuses a scheme the study cannot take
     cfg = StudyConfig(kind=args.study)
     table, _ = extract_sequences(lex, inv, cfg, carriers=True)
     pairs = enumerate_minimal_sequence_pairs(table, inv, cfg)

@@ -81,7 +81,8 @@ class Inventory:
     * ``char_symbols``: the symbols other than ``?`` when every symbol is
       one character, else empty; a text made only of them tokenizes to
       its characters;
-    * ``vowel_map``: symbol -> is_vowel;
+    * ``vowel_map``: the symbol table, each symbol in definition order
+      -> whether it is a vowel;
     * ``relation``: consonant -> {consonant: feature}, the pair relation
       (symmetric, no entry for non-contrasting pairs, each consonant's
       entries in symbol order), read from the pair list or from the
@@ -94,7 +95,7 @@ class Inventory:
 
     def __init__(self, phonemes, feature_system, class_map=None, lines=None):
         at = (lines or {}).get
-        self.phonemes = {}
+        self.vowel_map = vm = {}
         first = {}  # symbol -> index of the phoneme that defined it
         for ix, p in enumerate(phonemes):
             sym, line = p.symbol, at(("phonemes", ix))
@@ -107,10 +108,10 @@ class Inventory:
                 raise InventoryError("duplicate symbol %r%s" % (
                     sym, "" if where is None else " (first defined on line %d)" % where), line=line)
             first[sym] = ix
-            self.phonemes[sym] = p
+            vm[sym] = p.is_vowel
         self.feature_system = fs = feature_system
-        self.consonants = sorted(s for s, p in self.phonemes.items() if not p.is_vowel)
-        self.vowels = sorted(s for s, p in self.phonemes.items() if p.is_vowel)
+        self.consonants = sorted(s for s, v in vm.items() if not v)
+        self.vowels = sorted(s for s, v in vm.items() if v)
         cmap = dict(class_map) if class_map is not None else {}
         for sym, cls in cmap.items():
             line = at(("classes", sym))
@@ -134,7 +135,7 @@ class Inventory:
         elif fs.mode == "vector":
             for sym, bundle in fs.bundles.items():
                 line = at(("features", sym))
-                if sym not in self.phonemes or self.phonemes[sym].is_vowel:
+                if vm.get(sym, True):  # unknown or a vowel
                     raise InventoryError("feature bundle for unknown or vowel phoneme %r" % sym,
                                          line=line)
                 if len(bundle) != len(FEATURES):
@@ -154,14 +155,12 @@ class Inventory:
 
         # "?" in a transcription always spells the glottal stop, so a
         # literal "?" symbol (possible only via the constructor) never matches.
-        symbols = sorted((s for s in self.phonemes if s != GLOTTAL_ALIAS), key=len, reverse=True)
-        if GLOTTAL in self.phonemes:
+        symbols = sorted((s for s in vm if s != GLOTTAL_ALIAS), key=len, reverse=True)
+        if GLOTTAL in vm:
             symbols.append(GLOTTAL_ALIAS)
         self.token_re = re.compile("|".join(map(re.escape, symbols)))
-        one_char = all(len(s) == 1 for s in self.phonemes)
-        self.char_symbols = frozenset(
-            self.phonemes.keys() - {GLOTTAL_ALIAS} if one_char else ())
-        self.vowel_map = {s: p.is_vowel for s, p in self.phonemes.items()}
+        one_char = all(len(s) == 1 for s in vm)
+        self.char_symbols = frozenset(vm.keys() - {GLOTTAL_ALIAS} if one_char else ())
         self.relation = {c: {} for c in self.consonants}
         for i, a in enumerate(self.consonants):
             for b in self.consonants[i + 1:]:
@@ -173,19 +172,16 @@ class Inventory:
                     feature = diffs[0] if len(diffs) == 1 else None
                 if feature is not None:
                     self.relation[a][b] = self.relation[b][a] = feature
-        self.code_symbols = (HOLE, *sorted(self.phonemes))
+        self.code_symbols = (HOLE, *sorted(vm))
         self.codes = {s: c for c, s in enumerate(self.code_symbols)}
-        self.code_bits = len(self.phonemes).bit_length()
+        self.code_bits = len(vm).bit_length()
 
     def _require_consonant(self, sym, entry, line):
         """Raise unless `sym` is a consonant; `entry` begins the message."""
-        if sym not in self.phonemes:
+        if sym not in self.vowel_map:
             raise InventoryError("%s unknown phoneme %r" % (entry, sym), line=line)
-        if self.phonemes[sym].is_vowel:
+        if self.vowel_map[sym]:
             raise InventoryError("%s vowel %r" % (entry, sym), line=line)
-
-    def is_vowel(self, symbol: str) -> bool:
-        return self.vowel_map[symbol]
 
 
 def contrasting_feature(inv: Inventory, a: str, b: str):
@@ -195,9 +191,9 @@ def contrasting_feature(inv: Inventory, a: str, b: str):
     in more than one feature.
     """
     for sym in (a, b):
-        if sym not in inv.phonemes:
+        if sym not in inv.vowel_map:
             raise InventoryError("unknown phoneme %r" % sym)
-        if inv.phonemes[sym].is_vowel:
+        if inv.vowel_map[sym]:
             raise InventoryError("vowel %r has no features" % sym)
     return inv.relation[a].get(b)
 

@@ -35,7 +35,7 @@ class Lexicon:
         self.entries = list(entries)
         self.inventory = inventory
         unknown = set().union(*map(attrgetter("transcription"), self.entries))
-        unknown -= inventory.phonemes.keys()
+        unknown -= inventory.vowel_map.keys()
         if unknown:
             first = next(e for e in self.entries if not unknown.isdisjoint(e.transcription))
             raise LexiconError(

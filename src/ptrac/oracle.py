@@ -20,7 +20,7 @@ GUARD = 10_000  # max distinct sequences
 
 
 def _vowel_flags(seq, inv):
-    return [inv.is_vowel(s) for s in seq]
+    return [inv.vowel_map[s] for s in seq]
 
 
 def _word_cvcc_syllables(seq, inv):
@@ -88,7 +88,7 @@ def oracle_matrix(lex: Lexicon, inv: Inventory, cfg: StudyConfig) -> ContrastMat
             if len(diff) != 1:
                 continue
             pos = diff[0]
-            if inv.is_vowel(a[pos]) or inv.is_vowel(b[pos]):
+            if inv.vowel_map[a[pos]] or inv.vowel_map[b[pos]]:
                 continue
             feature = contrasting_feature(inv, a[pos], b[pos])
             if feature is None:

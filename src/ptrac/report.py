@@ -1,6 +1,7 @@
 """Matrix rendering: csv/json/markdown tables and grouped-bar SVG charts.
 
-All renderers are byte-deterministic for a given matrix and spec.
+`render` is the one renderer; its output is byte-deterministic for a
+given matrix and spec.
 """
 
 from __future__ import annotations
@@ -52,10 +53,13 @@ def _records(matrix, contexts):
             yield context_text(ctx), feat, cell.weighted, cell.pairs
 
 
-def render_matrix(matrix: ContrastMatrix, spec: RenderSpec, inv=None,
-                  meta=None) -> str:
-    """Render to csv, json or markdown (use render_chart for svg)."""
+def render(matrix: ContrastMatrix, spec: RenderSpec, inv=None, meta=None) -> str:
+    """The matrix under the spec's scheme, in the spec's format: a csv,
+    json or markdown table, or an svg chart. `inv` is needed to aggregate
+    to following-class; `meta` adds keys to the json "meta" object."""
     m, contexts = _aggregated(matrix, spec, inv)
+    if spec.format == "svg":
+        return _chart(m, contexts)
     if spec.format == "csv":
         buf = io.StringIO()  # the writer quotes fields with , " or a line break (RFC 4180)
         csv.writer(buf, lineterminator="\n").writerows(
@@ -76,23 +80,18 @@ def render_matrix(matrix: ContrastMatrix, spec: RenderSpec, inv=None,
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if spec.format == "markdown":
-        lines = [
-            "| context | feature | weighted_count | pair_count |",
-            "| --- | --- | --- | --- |",
-        ]
-        lines += ["| %s | %s | %d | %d |" % (_md_esc(ctx), feat, w, p)
-                  for ctx, feat, w, p in _records(m, contexts)]
-        return "\n".join(lines) + "\n"
-    raise StudyError("render_matrix does not handle %r" % spec.format)
+    lines = [  # markdown
+        "| context | feature | weighted_count | pair_count |",
+        "| --- | --- | --- | --- |",
+    ]
+    lines += ["| %s | %s | %d | %d |" % (_md_esc(ctx), feat, w, p)
+              for ctx, feat, w, p in _records(m, contexts)]
+    return "\n".join(lines) + "\n"
 
 
-def render_chart(matrix: ContrastMatrix, spec: RenderSpec, inv=None) -> str:
+def _chart(m, contexts) -> str:
     """Grouped bar chart: one group per context, one bar per feature,
     weighted counts as heights."""
-    if spec.format != "svg":
-        raise StudyError("render_chart requires svg format")
-    m, contexts = _aggregated(matrix, spec, inv)
     if len(contexts) > MAX_CHART_COLUMNS:
         raise StudyError(
             "%d context columns exceed the chart limit of %d"
@@ -178,9 +177,3 @@ def _esc(text):
 def _md_esc(text):
     """Backslash-escape what would end or split a Markdown table cell."""
     return text.replace("\\", "\\\\").replace("|", "\\|")
-
-
-def render(matrix: ContrastMatrix, spec: RenderSpec, inv=None, meta=None) -> str:
-    if spec.format == "svg":
-        return render_chart(matrix, spec, inv=inv)
-    return render_matrix(matrix, spec, inv=inv, meta=meta)

@@ -383,9 +383,30 @@ def test_list_pairs_refuses_a_scheme_analyze_refuses(capsys, inv_path, lex_path,
                                   "--feature", "voice", "--context", "C1"])
     message = "error: position scheme requires a positions study\n"
     assert (code, out, err) == (2, "", warnings + message)
+    # `analyze` refuses the scheme before the study, so no exclusions follow
     code, out, err = run(capsys, ["analyze", *base, "--aggregate", "position"])
-    assert (code, out) == (2, "")
-    assert err.startswith(warnings) and err.endswith(message)
+    assert (code, out, err) == (2, "", warnings + message)
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--aggregate", "position"],
+    ["list-pairs", "--scheme", "position", "--feature", "voice", "--context", "C1"],
+])
+def test_refused_scheme_extracts_nothing(capsys, monkeypatch, inv_path, lex_path, command):
+    import ptrac.core
+
+    calls = []
+    entry_plans = ptrac.core._entry_plans
+
+    def counting_entry_plans(*args):
+        calls.append(args)
+        return entry_plans(*args)
+
+    monkeypatch.setattr(ptrac.core, "_entry_plans", counting_entry_plans)
+    code, out, err = run(capsys, command[:1] + ["--inventory", inv_path, "--lexicon", lex_path,
+                                                "--study", "clusters"] + command[1:])
+    assert (code, out, err) == (2, "", "error: position scheme requires a positions study\n")
+    assert calls == []
 
 
 def test_analyze_diagnostics_written_before_a_failing_study(capsys, monkeypatch, inv_path,

@@ -10,6 +10,7 @@ from ptrac import (
     Inventory,
     InventoryError,
     contrasting_feature,
+    data,
     featural_pairs,
     parse_inventory,
 )
@@ -166,7 +167,7 @@ def test_exactly_one_feature_section():
 
 def test_glottal_alias_normalized():
     inv = parse_inventory("[phonemes]\n? consonant\nb consonant\na vowel\n[pairs]\n? b place\n")
-    assert "'" in inv.phonemes and "?" not in inv.phonemes
+    assert "'" in inv.vowel_map and "?" not in inv.vowel_map
     assert contrasting_feature(inv, "'", "b") == "place"
 
 
@@ -307,8 +308,18 @@ def test_relation_table_random(seed, mode):
 
 
 def test_vowel_map(persian):
-    assert persian.vowel_map == {s: p.is_vowel for s, p in persian.phonemes.items()}
+    # The symbol table: the [phonemes] lines' symbols in file order, each
+    # with its vowel flag.
+    text = data.persian_inventory_text()
+    body = text.split("[phonemes]", 1)[1].split("[", 1)[0]
+    listed = [line.split() for line in body.splitlines() if line and not line.startswith("#")]
+    assert list(persian.vowel_map.items()) == [(sym, kind == "vowel") for sym, kind in listed]
     assert sorted(s for s, v in persian.vowel_map.items() if v) == persian.vowels
+    assert sorted(s for s, v in persian.vowel_map.items() if not v) == persian.consonants
+    # definition order, not sorted order
+    inv = Inventory([Phoneme("p", False), Phoneme("a", True), Phoneme("b", False)],
+                    FeatureSystem(mode="pair-list"))
+    assert list(inv.vowel_map.items()) == [("p", False), ("a", True), ("b", False)]
 
 
 def test_empty_symbol_rejected_by_constructor():
@@ -357,7 +368,7 @@ def test_odd_line_boundary_stays_inside_its_line(odd):
         parse_inventory(text)
     assert exc.value.line == 4 and str(exc.value).startswith("line 4: ")
     inv = parse_inventory(text.replace("bogus\n", ""))
-    assert sorted(inv.phonemes) == ["a", "b"]
+    assert sorted(inv.vowel_map) == ["a", "b"]
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])

@@ -115,7 +115,7 @@ def _reference_tokenize(text, inv):
 
     if not text:
         raise TokenizeError("empty transcription", offset=0, fragment="")
-    symbols = sorted(inv.phonemes, key=len, reverse=True)
+    symbols = sorted(inv.vowel_map, key=len, reverse=True)
     out = []
     i = 0
     while i < len(text):
@@ -267,7 +267,7 @@ def test_tokens_are_inventory_symbols(case):
         tokens = tokenize_transcription(text, inv)
     except TokenizeError:
         return
-    assert all(token in inv.phonemes for token in tokens)
+    assert all(token in inv.vowel_map for token in tokens)
     lex, diags = parse_lexicon("w\t%s\n" % text, inv)
     assert not diags and lex.entries[0].transcription == tokens
     assert Lexicon(lex.entries, inv).entries == lex.entries

@@ -11,7 +11,7 @@ import pytest
 from ptrac import Inventory, Lexicon, LexEntry, StudyConfig, StudyError, aggregate, run_study
 from ptrac.core import ContrastMatrix, context_text
 from ptrac.inventory import FeatureSystem, Phoneme
-from ptrac.report import CSV_HEADER, RenderSpec, render_chart, render_matrix
+from ptrac.report import CSV_HEADER, RenderSpec, render
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def voice_matrix(fixture_lexicon, persian):
 
 
 def test_csv_voice_following_segment(voice_matrix, persian):
-    out = render_matrix(voice_matrix, RenderSpec("csv", "following-segment"), inv=persian)
+    out = render(voice_matrix, RenderSpec("csv", "following-segment"), inv=persian)
     lines = out.splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1:] == [
@@ -37,19 +37,19 @@ def test_csv_voice_following_segment(voice_matrix, persian):
 
 
 def test_csv_empty_matrix():
-    out = render_matrix(ContrastMatrix(), RenderSpec("csv"))
+    out = render(ContrastMatrix(), RenderSpec("csv"))
     assert out == CSV_HEADER + "\n"
 
 
 def test_markdown_total(fixture_matrix, persian):
-    out = render_matrix(fixture_matrix, RenderSpec("markdown", "total"), inv=persian)
+    out = render(fixture_matrix, RenderSpec("markdown", "total"), inv=persian)
     rows = [l for l in out.splitlines() if l.startswith("| total")]
     assert len(rows) == 3
     assert [r.split("|")[2].strip() for r in rows] == ["manner", "place", "voice"]
 
 
 def test_json_envelope(fixture_matrix, persian):
-    out = render_matrix(
+    out = render(
         fixture_matrix,
         RenderSpec("json", "following-segment"),
         inv=persian,
@@ -67,15 +67,15 @@ def test_json_envelope(fixture_matrix, persian):
 
 def test_row_order_is_deterministic(fixture_matrix, persian):
     spec = RenderSpec("csv", "frame")
-    a = render_matrix(fixture_matrix, spec, inv=persian)
-    b = render_matrix(fixture_matrix, spec, inv=persian)
+    a = render(fixture_matrix, spec, inv=persian)
+    b = render(fixture_matrix, spec, inv=persian)
     assert a == b
     contexts = [l.split(",")[0] for l in a.splitlines()[1:]]
     assert contexts == sorted(contexts)
 
 
 def test_svg_following_class(fixture_matrix, persian):
-    out = render_chart(fixture_matrix, RenderSpec("svg", "following-class"), inv=persian)
+    out = render(fixture_matrix, RenderSpec("svg", "following-class"), inv=persian)
     root = ET.fromstring(out)  # well-formed
     labels = [
         el.text
@@ -86,7 +86,7 @@ def test_svg_following_class(fixture_matrix, persian):
 
 
 def test_svg_zero_matrix_has_axes_no_bars():
-    out = render_chart(ContrastMatrix(), RenderSpec("svg"))
+    out = render(ContrastMatrix(), RenderSpec("svg"))
     root = ET.fromstring(out)
     rects = list(root.iter("{http://www.w3.org/2000/svg}rect"))
     # background + 3 legend swatches, no data bars
@@ -105,7 +105,7 @@ def test_svg_single_position_group(persian):
         persian,
     )
     matrix = run_study(lex, persian, StudyConfig(kind="positions")).matrix
-    out = render_chart(matrix, RenderSpec("svg", "position"), inv=persian)
+    out = render(matrix, RenderSpec("svg", "position"), inv=persian)
     root = ET.fromstring(out)
     labels = [
         el.text
@@ -120,7 +120,7 @@ def test_svg_column_limit(persian):
     for i in range(65):
         m.add(("_", "x%02d" % i), "voice", 1)
     with pytest.raises(StudyError, match="limit"):
-        render_chart(m, RenderSpec("svg", "frame"))
+        render(m, RenderSpec("svg", "frame"))
 
 
 def test_bad_format_rejected():
@@ -151,7 +151,7 @@ def _expected_records(matrix):
 
 
 def test_csv_reads_back_with_hostile_symbols(hostile_matrix):
-    rows = list(csv.reader(io.StringIO(render_matrix(hostile_matrix, RenderSpec("csv")),
+    rows = list(csv.reader(io.StringIO(render(hostile_matrix, RenderSpec("csv")),
                                        newline="")))
     assert rows[0] == CSV_HEADER.split(",")
     got = [(c, f, int(w), int(p)) for c, f, w, p in rows[1:]]
@@ -160,7 +160,7 @@ def test_csv_reads_back_with_hostile_symbols(hostile_matrix):
 
 
 def test_json_reads_back_with_hostile_symbols(hostile_matrix):
-    doc = json.loads(render_matrix(hostile_matrix, RenderSpec("json")))
+    doc = json.loads(render(hostile_matrix, RenderSpec("json")))
     got = [(r["context"], r["feature"], r["weighted_count"], r["pair_count"])
            for r in doc["records"]]
     assert got == _expected_records(hostile_matrix)
@@ -181,14 +181,14 @@ def _markdown_cells(line):
 
 
 def test_markdown_reads_back_with_hostile_symbols(hostile_matrix):
-    lines = render_matrix(hostile_matrix, RenderSpec("markdown")).splitlines()
+    lines = render(hostile_matrix, RenderSpec("markdown")).splitlines()
     got = [tuple(_markdown_cells(l)) for l in lines[2:]]
     assert got == [(c, f, str(w), str(p)) for c, f, w, p in _expected_records(hostile_matrix)]
 
 
 def test_svg_parses_with_hostile_symbols(hostile_matrix):
     agg = aggregate(hostile_matrix, "following-segment")
-    out = render_chart(agg, RenderSpec("svg", "following-segment"))
+    out = render(agg, RenderSpec("svg", "following-segment"))
     doc = xml.dom.minidom.parseString(out.encode("utf-8"))
     titles = [t.firstChild.data for t in doc.getElementsByTagName("title")]
     assert titles == ["_%s voice: %d" % (h, agg.cell("_" + h, "voice").weighted)
@@ -197,8 +197,6 @@ def test_svg_parses_with_hostile_symbols(hostile_matrix):
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "markdown", "svg"])
 def test_contexts_that_render_alike_are_rejected(join_alike, fmt):
-    from ptrac.report import render
-
     inv, lex = join_alike
     matrix = run_study(lex, inv, StudyConfig(kind="positions")).matrix
     with pytest.raises(StudyError) as exc:
@@ -213,8 +211,6 @@ def test_contexts_that_render_alike_are_rejected(join_alike, fmt):
 
 def test_render_rejects_exactly_the_matrices_with_contexts_that_render_alike():
     from randlex import make_case
-    from ptrac.report import render
-
     outcomes = set()
     for seed in range(40):
         inv, lex = make_case(seed, mode="multichar")
