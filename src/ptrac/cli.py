@@ -13,6 +13,7 @@ import sys
 
 from . import __version__
 from .core import (
+    FORMATS,
     KINDS,
     ORIENTATIONS,
     SCHEMES,
@@ -27,7 +28,6 @@ from .core import (
 from .errors import InventoryError, LexiconError, PtracError, StudyError
 from .inventory import FEATURES, parse_inventory, featural_pairs, split_lines
 from .lexicon import parse_lexicon, tokenize_transcription
-from .report import FORMATS, RenderSpec, render
 from .syllabifier import format_syllables, syllabify
 
 EXIT_OK = 0
@@ -153,6 +153,8 @@ def _cmd_pairs(args):
 
 
 def _cmd_analyze(args):
+    from .report import RenderSpec, render  # loads csv and json, which no other command needs
+
     inv = _load_inventory(args.inventory)
     lex, diags = parse_lexicon(_read(args.lexicon, LexiconError), inv, strict=args.strict)
     _warn(diags)

@@ -34,6 +34,7 @@ KINDS = ("clusters", "positions")
 WEIGHTINGS = ("type-frequency", "unweighted")
 ORIENTATIONS = ("unordered", "ordered")
 SCHEMES = ("frame", "following-segment", "following-class", "position", "total")
+FORMATS = ("csv", "json", "markdown", "svg")  # the output formats of `report.render`
 
 
 @dataclass(frozen=True)
@@ -166,45 +167,45 @@ def require_distinct_texts(contexts):
                              % (a, b, context_text(a)))
 
 
-def _entry_plans(entries, inv: Inventory, kind: str):
-    """Each entry with its plan: the slice bounds ``(start, end)`` of its
-    study sequences in word order, the CVCC codas (clusters) or whole CVCC
-    syllables (positions), or None when `syllabify` rejects the entry.
-    Syllable spans depend only on the consonant/vowel skeleton, so a plan
-    is computed once per distinct skeleton. A skeleton is bytes rather
-    than a tuple: no tuple free list keeps thousands of them alive after
-    the pass."""
-    is_vowel = inv.vowel_map.__getitem__
-    lead = 1 if kind == "clusters" else -1  # the coda, or the whole syllable
-    plans = {}
-    for entry in entries:
-        skeleton = bytes(map(is_vowel, entry.transcription))
-        plan = plans.get(skeleton, False)  # a plan may be None or ()
-        if plan is False:
-            try:
-                plan = tuple((v + lead, end) for v, end in
-                             syllable_spans(entry.transcription, inv) if end - v == 3)
-            except SyllabifyError:
-                plan = None
-            plans[skeleton] = plan
-        yield entry, plan
-
-
 def extract_sequences(lex: Lexicon, inv: Inventory, cfg: StudyConfig, carriers: bool = False):
     """Build the sequence-frequency table; returns (table, excluded). With
     `carriers`, the same pass also fills `table.carriers`, the drill-down's
     index from each sequence to the entries that carry it.
 
-    Sequences are cut from each transcription by the plan of its skeleton,
-    so no syllables are built; a rejected entry is syllabified once more,
-    for the message of its error."""
+    Sequences are cut from each transcription by the plan of its
+    consonant/vowel skeleton: the slice bounds ``(start, end)`` of its
+    study sequences in word order, the CVCC codas (clusters) or whole CVCC
+    syllables (positions), or None when `syllabify` rejects the skeleton.
+    Syllable spans depend only on the skeleton, so a plan is computed once
+    per distinct skeleton and no syllables are built; a rejected entry is
+    syllabified once more, for the message of its error. The skeleton key
+    is the transcription's text through `inv.skeleton_table` when every
+    symbol is one character, else bytes of the vowel flags (bytes rather
+    than a tuple: no tuple free list keeps thousands of them alive after
+    the pass)."""
     if lex.inventory is not inv:
         raise StudyError("lexicon was parsed against a different inventory")
     table = SequenceTable(carriers={} if carriers else None)
     freqs, index = table.freqs, table.carriers
     excluded = []
-    for ix, (entry, plan) in enumerate(_entry_plans(lex.entries, inv, cfg.kind)):
+    skeleton_table = inv.skeleton_table
+    is_vowel = inv.vowel_map.__getitem__
+    lead = 1 if cfg.kind == "clusters" else -1  # the coda, or the whole syllable
+    plans = {}
+    for ix, entry in enumerate(lex.entries):
         t = entry.transcription
+        if skeleton_table:
+            skeleton = "".join(t).translate(skeleton_table)
+        else:
+            skeleton = bytes(map(is_vowel, t))
+        plan = plans.get(skeleton, False)  # a plan may be None or ()
+        if plan is False:
+            try:
+                plan = tuple((v + lead, end) for v, end in syllable_spans(t, inv)
+                             if end - v == 3)
+            except SyllabifyError:
+                plan = None
+            plans[skeleton] = plan
         if plan is None:
             try:
                 syllabify(t, inv)  # raises, naming the reason

@@ -81,6 +81,10 @@ class Inventory:
     * ``char_symbols``: the symbols other than ``?`` when every symbol is
       one character, else empty; a text made only of them tokenizes to
       its characters;
+    * ``skeleton_table``: when every symbol is one character, a
+      `str.translate` table from each symbol to ``"V"`` (vowel) or ``"C"``,
+      else empty; ``"".join(t).translate(skeleton_table)`` is then the
+      consonant/vowel skeleton of transcription `t`;
     * ``vowel_map``: the symbol table, each symbol in definition order
       -> whether it is a vowel;
     * ``relation``: consonant -> {consonant: feature}, the pair relation
@@ -161,6 +165,8 @@ class Inventory:
         self.token_re = re.compile("|".join(map(re.escape, symbols)))
         one_char = all(len(s) == 1 for s in vm)
         self.char_symbols = frozenset(vm.keys() - {GLOTTAL_ALIAS} if one_char else ())
+        self.skeleton_table = str.maketrans(
+            {s: "V" if v else "C" for s, v in vm.items()} if one_char else {})
         self.relation = {c: {} for c in self.consonants}
         for i, a in enumerate(self.consonants):
             for b in self.consonants[i + 1:]:

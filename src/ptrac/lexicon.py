@@ -97,7 +97,8 @@ def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
     entries = []
     diagnostics = []
     for no, line in enumerate(split_lines(text), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        head = line.lstrip()
+        if not head or head[0] == "#":
             continue
         parts = line.split("\t")
         if len(parts) < 2 or not parts[0] or not parts[1]:
@@ -108,7 +109,8 @@ def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
         except TokenizeError as exc:
             diagnostics.append(Diagnostic(no, str(exc)))
             continue
-        entries.append(LexEntry(parts[0], trans))
+        # tuple.__new__ skips the Python-level __new__ of the named tuple
+        entries.append(tuple.__new__(LexEntry, (parts[0], trans)))
     if strict and diagnostics:
         raise LexiconError(
             "%d malformed line(s): %s" % (len(diagnostics), "; ".join(map(str, diagnostics)))

@@ -12,10 +12,10 @@ import json
 from dataclasses import dataclass
 
 from . import __version__
-from .core import ContrastMatrix, SCHEMES, aggregate, context_text, require_distinct_texts
+from .core import (FORMATS, SCHEMES, ContrastMatrix, aggregate, context_text,
+                   require_distinct_texts)
 from .errors import StudyError
 
-FORMATS = ("csv", "json", "markdown", "svg")
 CSV_HEADER = "context,feature,weighted_count,pair_count"
 MAX_CHART_COLUMNS = 64
 

@@ -175,17 +175,26 @@ def test_list_pairs(capsys, inv_path, lex_path):
     assert "(hosn, hozn)" in fields[5]
 
 
-def test_list_pairs_extracts_the_lexicon_once(capsys, monkeypatch, inv_path, lex_path):
+def count_extractions(monkeypatch):
+    """The study configs of the `extract_sequences` calls that follow, made
+    from the CLI or from inside `ptrac.core` (`run_study`, `list_pairs_for`)."""
+    import ptrac.cli
     import ptrac.core
 
-    kinds = []
-    entry_plans = ptrac.core._entry_plans
+    configs = []
+    extract = ptrac.core.extract_sequences
 
-    def counting_entry_plans(entries, inv, kind):
-        kinds.append(kind)
-        return entry_plans(entries, inv, kind)
+    def counting_extract(lex, inv, cfg, *args, **kwargs):
+        configs.append(cfg)
+        return extract(lex, inv, cfg, *args, **kwargs)
 
-    monkeypatch.setattr(ptrac.core, "_entry_plans", counting_entry_plans)
+    for module in (ptrac.cli, ptrac.core):
+        monkeypatch.setattr(module, "extract_sequences", counting_extract)
+    return configs
+
+
+def test_list_pairs_extracts_the_lexicon_once(capsys, monkeypatch, inv_path, lex_path):
+    configs = count_extractions(monkeypatch)
     code, out, _ = run(
         capsys,
         ["list-pairs", "--inventory", inv_path, "--lexicon", lex_path,
@@ -193,7 +202,7 @@ def test_list_pairs_extracts_the_lexicon_once(capsys, monkeypatch, inv_path, lex
          "--context", "C2"],
     )
     assert code == 0 and out
-    assert kinds == ["positions"]
+    assert [cfg.kind for cfg in configs] == ["positions"]
 
 
 def test_list_pairs_absent_context(capsys, inv_path, lex_path):
@@ -393,20 +402,11 @@ def test_list_pairs_refuses_a_scheme_analyze_refuses(capsys, inv_path, lex_path,
     ["list-pairs", "--scheme", "position", "--feature", "voice", "--context", "C1"],
 ])
 def test_refused_scheme_extracts_nothing(capsys, monkeypatch, inv_path, lex_path, command):
-    import ptrac.core
-
-    calls = []
-    entry_plans = ptrac.core._entry_plans
-
-    def counting_entry_plans(*args):
-        calls.append(args)
-        return entry_plans(*args)
-
-    monkeypatch.setattr(ptrac.core, "_entry_plans", counting_entry_plans)
+    configs = count_extractions(monkeypatch)
     code, out, err = run(capsys, command[:1] + ["--inventory", inv_path, "--lexicon", lex_path,
                                                 "--study", "clusters"] + command[1:])
     assert (code, out, err) == (2, "", "error: position scheme requires a positions study\n")
-    assert calls == []
+    assert configs == []
 
 
 def test_analyze_diagnostics_written_before_a_failing_study(capsys, monkeypatch, inv_path,
@@ -519,3 +519,80 @@ def test_analyze_leaves_no_per_entry_cycles(capsys, inv_path, tmp_path):
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert abs(garbage[4000] - garbage[20]) <= 20, garbage
+
+
+def with_multichar_vowel(inventory_text):
+    """The inventory with an unused two-character vowel. No longer are all
+    symbols one character, so `char_symbols` and `skeleton_table` are empty
+    and tokenizing and extraction take their general paths (the token
+    regex, bytes skeletons)."""
+    assert "[phonemes]\n" in inventory_text
+    return inventory_text.replace("[phonemes]\n", "[phonemes]\nŋŋ vowel\n", 1)
+
+
+def inventory_text(inv):
+    """A pair-list inventory file with the symbols, vowels and relation of `inv`."""
+    lines = ["[phonemes]"]
+    lines += ["%s %s" % (s, "vowel" if v else "consonant") for s, v in inv.vowel_map.items()]
+    lines.append("[pairs]")
+    lines += ["%s %s %s" % (a, b, f) for a, rel in inv.relation.items()
+              for b, f in rel.items() if a < b]
+    return "\n".join(lines) + "\n"
+
+
+def _path_argvs(capsys, inv_path, lex_path):
+    """`analyze` for every kind, scheme and format, and `list-pairs` for
+    every kind and feature on a few contexts of each scheme but position."""
+    from ptrac.core import FORMATS
+
+    base = ["--inventory", inv_path, "--lexicon", lex_path]
+    argvs = [["analyze", *base, "--study", kind, "--aggregate", scheme, "--format", fmt]
+             for kind in KINDS for scheme in SCHEMES for fmt in FORMATS]
+    for kind in KINDS:
+        for scheme in ("frame", "following-segment", "total"):
+            _, out, _ = run(capsys, ["analyze", *base, "--study", kind, "--aggregate", scheme])
+            contexts = sorted({line.split(",")[0] for line in out.splitlines()[1:]})
+            for context in contexts[:3]:
+                argvs += [["list-pairs", *base, "--study", kind, "--scheme", scheme,
+                           "--feature", feature, "--context", context, "--limit", "3"]
+                          for feature in ("manner", "place", "voice")]
+    argvs.append(["list-pairs", *base, "--study", "positions", "--scheme", "position",
+                  "--feature", "voice", "--context", "C2"])
+    return argvs
+
+
+def _lexicon_cases():
+    from randlex import make_case
+    from ptrac import serialize_lexicon
+
+    yield "fixture", data.persian_inventory_text(), data.voicing_fixture_text()
+    # foreign characters, a "?" (no glottal stop in these inventories) and
+    # malformed lines, so the tokenizer's diagnostics are compared too
+    extra = "# comment\nbad line\nq\t?a\nz\tab5\n"
+    for mode, seed in (("pair-list", 0), ("pair-list", 1), ("vector", 2), ("vector", 3)):
+        inv, lex = make_case(seed, max_words=120, mode=mode)
+        yield "%s-%d" % (mode, seed), inventory_text(inv), serialize_lexicon(lex) + extra
+
+
+@pytest.mark.parametrize("case", list(_lexicon_cases()), ids=lambda case: case[0])
+def test_one_character_paths_print_what_the_general_paths_print(capsys, tmp_path, case):
+    from ptrac import parse_inventory
+
+    _, inv_text, lex_text = case
+    one, multi = tmp_path / "one.inv", tmp_path / "multi.inv"
+    one.write_text(inv_text, encoding="utf-8")
+    multi.write_text(with_multichar_vowel(inv_text), encoding="utf-8")
+    assert parse_inventory(inv_text).skeleton_table
+    assert not parse_inventory(multi.read_text(encoding="utf-8")).char_symbols
+    lex = tmp_path / "lex.tsv"
+    lex.write_text(lex_text, encoding="utf-8")
+    argvs = _path_argvs(capsys, str(one), str(lex))
+    outcomes, listed = set(), []
+    for argv in argvs:
+        want = run(capsys, argv)
+        assert run(capsys, [str(multi) if a == str(one) else a for a in argv]) == want, argv
+        outcomes.add(want[0])
+        if argv[0] == "list-pairs":
+            listed.append(want[1])
+    assert outcomes == {0, 2}  # clusters with the position scheme is refused
+    assert any(listed)

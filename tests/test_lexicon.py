@@ -1,7 +1,7 @@
 """Lexicon parsing, tokenization and round-tripping."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ptrac import (
     LexiconError,
@@ -302,3 +302,82 @@ def test_split_lines_matches_universal_newlines(text):
 
     read = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8").read()
     assert split_lines(text) == read.split("\n")
+
+
+def _plain_parse_lexicon(text, inv):
+    """The lexicon format stated plainly, one step per rule: skip blank
+    and comment lines, split on tabs, require two non-empty fields,
+    tokenize the second; (entries, diagnostics)."""
+    from ptrac.inventory import split_lines
+    from ptrac.lexicon import Diagnostic, LexEntry
+
+    entries = []
+    diagnostics = []
+    for no, line in enumerate(split_lines(text), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2 or not parts[0] or not parts[1]:
+            diagnostics.append(Diagnostic(no, "expected 'orthography<TAB>transcription'"))
+            continue
+        try:
+            trans = tokenize_transcription(parts[1], inv)
+        except TokenizeError as exc:
+            diagnostics.append(Diagnostic(no, str(exc)))
+            continue
+        entries.append(LexEntry(parts[0], trans))
+    return entries, diagnostics
+
+
+def _hash_symbol_inventory():
+    """A constructor-built inventory with a literal one-character "#"
+    symbol, which a file cannot declare ("#" starts a comment there)."""
+    from ptrac import Inventory
+    from ptrac.inventory import FeatureSystem, Phoneme
+
+    return Inventory([Phoneme(s, s == "a") for s in "#t'a"], FeatureSystem(mode="pair-list"))
+
+
+WHITESPACE = ["", " ", "\t", " \t", "\u3000", "\u00a0"]
+
+
+@st.composite
+def lexicon_text(draw):
+    inv = draw(st.one_of(alphabet_and_text(max_symbol_size=1).map(lambda case: case[0]),
+                         alphabet_and_text().map(lambda case: case[0]),
+                         st.just(_hash_symbol_inventory())))
+    # symbols, "?" (glottal alias, or no symbol), foreign characters and "#"
+    pieces = sorted(inv.vowel_map) + ["?", "x", "é", "#", " "]
+    transcription = st.lists(st.sampled_from(pieces), max_size=5).map("".join)
+    orthography = st.one_of(st.sampled_from(WHITESPACE[1:] + [""]), st.text("wé#?", max_size=3))
+    line = st.one_of(
+        st.sampled_from(WHITESPACE),  # blank
+        st.tuples(st.sampled_from(WHITESPACE), st.sampled_from(["", "#"]), orthography,
+                  st.lists(transcription, max_size=3))
+        .map(lambda t: t[0] + t[1] + "\t".join([t[2], *t[3]])),
+    )
+    lines = draw(st.lists(line, max_size=8))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return inv, newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300)
+@given(lexicon_text(), st.booleans())
+@example((_hash_symbol_inventory(),
+          " #\tta\n \tta\n\u00a0\tta\tx\n#w\tta\nw\t#a\nw\t?a\nw\t\nw\ttaé\n\t\n"), False)
+def test_parse_lexicon_matches_the_plain_loop(case, strict):
+    from ptrac.lexicon import LexEntry
+
+    inv, text = case
+    entries, diagnostics = _plain_parse_lexicon(text, inv)
+    if strict and diagnostics:
+        with pytest.raises(LexiconError) as exc:
+            parse_lexicon(text, inv, strict=True)
+        assert str(exc.value) == "%d malformed line(s): %s" % (
+            len(diagnostics), "; ".join(map(str, diagnostics)))
+        return
+    lex, diags = parse_lexicon(text, inv, strict=strict)
+    assert lex.entries == entries
+    assert all(type(e) is LexEntry for e in lex.entries)
+    assert [str(d) for d in diags] == [str(d) for d in diagnostics]
+    assert diags == diagnostics

@@ -22,8 +22,11 @@ def reference_entry_sequences(entry, inv, kind):
 
 
 def reference_extract(lex, inv, kind):
+    """(freqs, excluded, carriers): the carriers of each sequence, in
+    lexicon order, one item per occurrence."""
     freqs = {}
     excluded = []
+    carriers = {}
     for ix, entry in enumerate(lex.entries):
         try:
             seqs = reference_entry_sequences(entry, inv, kind)
@@ -32,15 +35,26 @@ def reference_extract(lex, inv, kind):
             continue
         for seq in seqs:
             freqs[seq] = freqs.get(seq, 0) + 1
-    return freqs, excluded
+            carriers.setdefault(seq, []).append(entry)
+    return freqs, excluded, carriers
 
 
 def assert_plans_match(lex, inv):
     for kind in KINDS:
-        table, excluded = extract_sequences(lex, inv, StudyConfig(kind=kind))
-        want_freqs, want_excluded = reference_extract(lex, inv, kind)
-        assert list(table.freqs.items()) == list(want_freqs.items())  # insertion order too
-        assert excluded == want_excluded  # exclusion messages too
+        want_freqs, want_excluded, want_carriers = reference_extract(lex, inv, kind)
+        for carriers in (False, True):
+            table, excluded = extract_sequences(lex, inv, StudyConfig(kind=kind),
+                                                carriers=carriers)
+            assert list(table.freqs.items()) == list(want_freqs.items())  # insertion order too
+            assert excluded == want_excluded  # exclusion messages too
+            if not carriers:
+                assert table.carriers is None
+                continue
+            assert list(table.carriers) == list(want_carriers)
+            for seq, entries in want_carriers.items():
+                got = table.carriers[seq]
+                assert len(got) == len(entries)
+                assert all(g is e for g, e in zip(got, entries))  # the lexicon's own entries
 
 
 @pytest.mark.parametrize("mode", ["pair-list", "vector", "multichar"])
@@ -76,9 +90,16 @@ PLAN_INV = Inventory(
 )
 
 
+# One-character symbols, so that skeletons come from `skeleton_table`;
+# "?" (a symbol only through the constructor), "#" and "." among them.
+CHAR_INV = Inventory([Phoneme(c, False) for c in "?#t."] + [Phoneme(v, True) for v in "a'"],
+                     FeatureSystem(mode="pair-list"))
+
+
 @st.composite
-def word_of(draw, skeleton):
-    return tuple(draw(st.sampled_from(VOWELS if v == "V" else CONSONANTS)) for v in skeleton)
+def word_of(draw, skeleton, inv):
+    return tuple(draw(st.sampled_from(inv.vowels if v == "V" else inv.consonants))
+                 for v in skeleton)
 
 
 SKELETON = st.text("CV", max_size=12)
@@ -96,11 +117,19 @@ NAMED_SKELETONS = {
 
 
 @settings(deadline=None)
-@given(st.lists(SKELETON.flatmap(word_of), max_size=12))
-@example([("ts", "a", "k", "kh", "t", "ai", "t", "k"), ("t", "a", "kh", "k")])
-def test_plans_match_syllabify_skeletons(words):
-    lex = Lexicon([LexEntry("w%d" % i, w) for i, w in enumerate(words)], PLAN_INV)
-    assert_plans_match(lex, PLAN_INV)
+@given(st.sampled_from([PLAN_INV, CHAR_INV]).flatmap(lambda inv: st.tuples(
+    st.just(inv), st.lists(SKELETON.flatmap(lambda s: word_of(s, inv)), max_size=12))))
+@example((PLAN_INV, [("ts", "a", "k", "kh", "t", "ai", "t", "k"), ("t", "a", "kh", "k")]))
+@example((CHAR_INV, [("?", "a", "#", ".", "t", "'", "?"), ("t", "a", "?", "#")]))
+def test_plans_match_syllabify_skeletons(case):
+    inv, words = case
+    lex = Lexicon([LexEntry("w%d" % i, w) for i, w in enumerate(words)], inv)
+    assert_plans_match(lex, inv)
+
+
+def test_skeleton_table_only_for_one_character_inventories():
+    assert CHAR_INV.skeleton_table and not PLAN_INV.skeleton_table
+    assert "".join(("?", "a", "#", ".", "t", "'")).translate(CHAR_INV.skeleton_table) == "CVCCCV"
 
 
 @pytest.mark.parametrize("skeleton, reason", NAMED_SKELETONS.values(), ids=NAMED_SKELETONS)
