@@ -158,10 +158,9 @@ def _cmd_analyze(args):
     inv = _load_inventory(args.inventory)
     lex, diags = parse_lexicon(_read(args.lexicon, LexiconError), inv, strict=args.strict)
     _warn(diags)
-    scheme_key(args.aggregate, args.study, inv)  # refuses a scheme the study cannot take
     cfg = StudyConfig(kind=args.study, weighting=args.weighting,
                       orientation=args.orientation, feature=args.feature)
-    report = run_study(lex, inv, cfg)
+    report = run_study(lex, inv, cfg, scheme=args.aggregate)  # refuses the scheme first
     _warn(["entry %d (%s) excluded: %s" % (ex.index, ex.orthography, ex.reason)
            for ex in report.excluded])
     spec = RenderSpec(format=args.format, scheme=args.aggregate)

@@ -4,8 +4,9 @@ Pipeline: extract segment sequences from the syllabified lexicon, find all
 minimal sequence pairs among them, designate each pair's context (a frame
 with a hole at the differing position) and contrasting feature, and
 accumulate a feature-by-context matrix of weighted counts. `run_study`
-counts the matrix as it finds the pairs, building no pair object; the pair
-list is built only when `StudyReport.pairs` is read.
+counts the matrix under the requested aggregation scheme as it finds the
+pairs, building no pair object; the pair list is built only when
+`StudyReport.pairs` is read.
 
 Two study kinds:
 
@@ -103,6 +104,9 @@ class ContrastMatrix:
     features: tuple = FEATURES
     scheme: str = "frame"
     kind: str = "clusters"
+    # every pair the count of `run_study` found, also those the scheme gives
+    # no cell; None on a matrix from `count_contrasts` or `aggregate`
+    pairs_found: int = None
 
     def contexts(self):
         """Context keys in the order of their rendered text."""
@@ -319,30 +323,72 @@ def count_contrasts(pairs, cfg: StudyConfig) -> ContrastMatrix:
     return matrix
 
 
-def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig) -> ContrastMatrix:
-    """The frame-granularity contrast matrix of the table's minimal pairs,
-    counted as `_walk` finds them: the same cells as `count_contrasts` of
-    `enumerate_minimal_sequence_pairs`, without building a pair. Cells are
-    counted under integer keys; each frame is decoded to its tuple once."""
+def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
+                 scheme: str = "frame") -> ContrastMatrix:
+    """The contrast matrix of the table's minimal pairs under `scheme`: the
+    cells of `aggregate` of `count_contrasts` of
+    `enumerate_minimal_sequence_pairs`, counted straight from the coded
+    table, with no pair, frame or cell built per pair.
+
+    Neighbours are found as `_walk` finds them. Each pair adds its weight
+    to a row of one ``[weighted, pairs]`` slot per feature, and the row is
+    picked once per sequence and pass, at the pass's first pair. Under
+    frame, a row is keyed by the coded frame and each frame is decoded once
+    after the walk. Any other scheme's context depends only on the hole's
+    position and the code after it, padding 0 included (see `scheme_key`).
+    So before the walk, each (shift, next code) is mapped to the row of its
+    context, shared by the passes at that shift. The row of context None
+    holds the pairs the scheme leaves out; they count only towards
+    `pairs_found`."""
+    key_of = scheme_key(scheme, cfg.kind, inv)
     coded, shifts = _encode(table.freqs, inv)
-    acc = {}  # key -> [summed weight, pairs]
-    for _, _, key, weight in _walk(coded, inv, cfg, shifts):
-        rec = acc.get(key)
-        if rec is None:
-            rec = acc[key] = [0, 0]
-        rec[0] += weight
-        rec[1] += 1
+    bits, symbols = inv.code_bits, inv.code_symbols
+    mask = (1 << bits) - 1
+    rows = {}  # context, or under frame the coded frame -> row
+    keyed = {}  # shift -> (mask of a sequence's row key, row of each key)
+    for pos, shift in enumerate(shifts):
+        if scheme == "frame":
+            keyed[shift] = (~(mask << shift), rows)
+            continue
+        # A row key is the code after the hole, left in place: 0 for padding,
+        # and always 0 after the last position. Its context is that of any
+        # sequence with the hole at `pos` and that code after it.
+        nxt = shift - bits if shift else 0
+        by_key = {}
+        for c in range(len(symbols) if shift else 1):
+            ctx = key_of((HOLE,) * (pos + 1) + ((symbols[c],) if c else ()), pos)
+            by_key[c << nxt] = rows.setdefault(ctx, [[0, 0] for _ in FEATURES])
+        keyed[shift] = (mask << nxt if shift else 0, by_key)
+    passes = [(shift, steps, *keyed[shift]) for shift, steps in _passes(inv, cfg, shifts)]
+    get = coded.get
+    for a, fa in coded.items():
+        for shift, steps, kmask, by_key in passes:
+            st = steps[a >> shift & mask]
+            if st:
+                row = None
+                for d, f in st:
+                    fb = get(a + d)
+                    if fb is not None:
+                        if row is None:
+                            row = by_key.get(a & kmask)
+                            if row is None:  # a frame's first pair
+                                row = by_key[a & kmask] = [[0, 0] for _ in FEATURES]
+                        slot = row[f]
+                        slot[0] += fa if fa < fb else fb
+                        slot[1] += 1
     del coded
+    if scheme == "frame":
+        rows = {_decode_frame(code, shifts, mask, symbols): row for code, row in rows.items()}
     weighted = cfg.weighting == "type-frequency"
-    mask, symbols = (1 << inv.code_bits) - 1, inv.code_symbols
-    frames, cells = {}, {}
-    for key, (w, n) in acc.items():
-        frame = frames.get(key >> 2)
-        if frame is None:
-            frame = frames[key >> 2] = _decode_frame(key >> 2, shifts, mask, symbols)
-        cells[frame, FEATURES[key & 3]] = Cell(w if weighted else n, n)
+    cells, found = {}, 0
+    for ctx, row in rows.items():
+        for feature, (w, n) in zip(FEATURES, row):
+            if n:
+                found += n
+                if ctx is not None:
+                    cells[ctx, feature] = Cell(w if weighted else n, n)
     return ContrastMatrix(cells=cells, features=(cfg.feature,) if cfg.feature else FEATURES,
-                          scheme="frame", kind=cfg.kind)
+                          scheme=scheme, kind=cfg.kind, pairs_found=found)
 
 
 def _decode_frame(code, shifts, mask, symbols) -> tuple:
@@ -450,7 +496,7 @@ class StudyReport:
     config: StudyConfig
     table: SequenceTable
     inventory: Inventory
-    matrix: ContrastMatrix  # frame granularity
+    matrix: ContrastMatrix  # under the scheme given to `run_study`
     excluded: list
 
     @cached_property
@@ -463,14 +509,17 @@ class StudyReport:
         return {
             "sequences": len(self.table),
             "occurrences": sum(self.table.freqs.values()),
-            "pairs": sum(c.pairs for c in self.matrix.cells.values()),
+            "pairs": self.matrix.pairs_found,
             "excluded_entries": len(self.excluded),
         }
 
 
-def run_study(lex: Lexicon, inv: Inventory, cfg: StudyConfig) -> StudyReport:
-    """End-to-end composition: extract, then count the contrasts; the
-    pairs themselves are enumerated only if `report.pairs` is read."""
+def run_study(lex: Lexicon, inv: Inventory, cfg: StudyConfig,
+              scheme: str = "frame") -> StudyReport:
+    """End-to-end composition: extract, then count the contrasts under the
+    aggregation scheme `scheme`, which is checked first (see `scheme_key`);
+    the pairs themselves are enumerated only if `report.pairs` is read."""
+    scheme_key(scheme, cfg.kind, inv)
     table, excluded = extract_sequences(lex, inv, cfg)
     return StudyReport(config=cfg, table=table, inventory=inv,
-                       matrix=_count_table(table, inv, cfg), excluded=excluded)
+                       matrix=_count_table(table, inv, cfg, scheme), excluded=excluded)

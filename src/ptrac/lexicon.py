@@ -91,8 +91,8 @@ def tokenize_transcription(text: str, inv: Inventory):
 def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
     """Parse a lexicon file; returns (Lexicon, diagnostics).
 
-    Malformed lines become diagnostics and are skipped. In strict mode the
-    first diagnostic is promoted to a fatal LexiconError.
+    Malformed lines become diagnostics and are skipped. In strict mode any
+    diagnostic is fatal: one LexiconError lists them all, in line order.
     """
     entries = []
     diagnostics = []

@@ -413,7 +413,7 @@ def test_analyze_diagnostics_written_before_a_failing_study(capsys, monkeypatch,
                                                             tmp_path):
     import ptrac.cli
 
-    def fail(lex, inv, cfg):
+    def fail(lex, inv, cfg, scheme="frame"):
         raise StudyError("study failed")
 
     monkeypatch.setattr(ptrac.cli, "run_study", fail)
@@ -469,9 +469,9 @@ def test_collector_paused_inside_a_command(capsys, monkeypatch, inv_path, lex_pa
     seen = []
     run_study = ptrac.cli.run_study
 
-    def recording_run_study(*args):
+    def recording_run_study(*args, **kwargs):
         seen.append(gc.isenabled())
-        return run_study(*args)
+        return run_study(*args, **kwargs)
 
     monkeypatch.setattr(ptrac.cli, "run_study", recording_run_study)
     assert gc.isenabled()
