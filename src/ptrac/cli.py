@@ -10,6 +10,7 @@ import argparse
 import codecs
 import gc
 import sys
+from collections import deque
 
 from . import __version__
 from .core import (
@@ -27,7 +28,7 @@ from .core import (
 )
 from .errors import InventoryError, LexiconError, PtracError, StudyError
 from .inventory import FEATURES, parse_inventory, featural_pairs, split_lines
-from .lexicon import parse_lexicon, tokenize_transcription
+from .lexicon import read_entries, strict_error, tokenize_transcription
 from .syllabifier import format_syllables, syllabify
 
 EXIT_OK = 0
@@ -108,6 +109,16 @@ def _warn(lines):
         sys.stderr.write("".join("warning: %s\n" % line for line in lines))
 
 
+def _diagnose(diags, strict=False, rest=()):
+    """Warn of the lexicon's diagnostics, once the lines left in `rest`
+    (an iterator of `read_entries`) are read; under `strict`, raise them
+    instead, as `parse_lexicon` does."""
+    deque(rest, maxlen=0)
+    if strict and diags:
+        raise strict_error(diags)
+    _warn(diags)
+
+
 def _emit(text, out):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -120,9 +131,9 @@ def _cmd_syllabify(args):
     inv = _load_inventory(args.inventory)
     failures = 0
     if args.lexicon:
-        lex, diags = parse_lexicon(_read(args.lexicon, LexiconError), inv)
+        diags = []
+        items = list(read_entries(_read(args.lexicon, LexiconError), inv, diags))
         _warn(diags)
-        items = [(e.orthography, e.transcription) for e in lex.entries]
     else:
         if not args.words:
             print("ptrac syllabify: give words or --lexicon", file=sys.stderr)
@@ -156,11 +167,16 @@ def _cmd_analyze(args):
     from .report import RenderSpec, render  # loads csv and json, which no other command needs
 
     inv = _load_inventory(args.inventory)
-    lex, diags = parse_lexicon(_read(args.lexicon, LexiconError), inv, strict=args.strict)
-    _warn(diags)
+    diags = []
+    entries = read_entries(_read(args.lexicon, LexiconError), inv, diags)
     cfg = StudyConfig(kind=args.study, weighting=args.weighting,
                       orientation=args.orientation, feature=args.feature)
-    report = run_study(lex, inv, cfg, scheme=args.aggregate)  # refuses the scheme first
+    try:
+        report = run_study(entries, inv, cfg, scheme=args.aggregate)  # refuses the scheme first
+    except StudyError:  # it follows every line's diagnostic
+        _diagnose(diags, args.strict, rest=entries)
+        raise
+    _diagnose(diags, args.strict)
     _warn(["entry %d (%s) excluded: %s" % (ex.index, ex.orthography, ex.reason)
            for ex in report.excluded])
     spec = RenderSpec(format=args.format, scheme=args.aggregate)
@@ -174,13 +190,18 @@ def _cmd_list_pairs(args):
     if args.limit < 1:
         raise StudyError("limit must be at least 1, got %d" % args.limit)
     inv = _load_inventory(args.inventory)
-    lex, diags = parse_lexicon(_read(args.lexicon, LexiconError), inv)
-    _warn(diags)
-    scheme_key(args.scheme, args.study, inv)  # refuses a scheme the study cannot take
+    diags = []
+    entries = read_entries(_read(args.lexicon, LexiconError), inv, diags)
+    try:
+        scheme_key(args.scheme, args.study, inv)  # refuses a scheme the study cannot take
+    except StudyError:  # it follows every line's diagnostic
+        _diagnose(diags, rest=entries)
+        raise
     cfg = StudyConfig(kind=args.study)
-    table, _ = extract_sequences(lex, inv, cfg, carriers=True)
+    table, _ = extract_sequences(entries, inv, cfg, carriers=True)
+    _warn(diags)
     pairs = enumerate_minimal_sequence_pairs(table, inv, cfg)
-    rows = list_pairs_for(pairs, args.feature, args.context, lex, inv, cfg,
+    rows = list_pairs_for(pairs, args.feature, args.context, None, inv, cfg,
                           scheme=args.scheme, limit=args.limit, carriers=table.carriers)
     for row in rows:
         p = row.pair
@@ -200,7 +221,8 @@ _COMMANDS = {
 
 
 def cli_main(argv=None) -> int:
-    # A command builds one long-lived entry per lexicon word and no
+    # A command builds long-lived tables (sequences, plans, and for
+    # list-pairs and syllabify an entry per carrier or word) and no
     # reference cycles, so the cyclic collector would only walk that heap
     # again and again; it is paused for the command and restored after.
     gc_was_enabled = gc.isenabled()

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .errors import PtracError, StudyError, SyllabifyError
 from .inventory import FEATURES, HOLE, Inventory
-from .lexicon import Lexicon
+from .lexicon import LexEntry, Lexicon
 from .syllabifier import syllable_spans, syllabify
 
 KINDS = ("clusters", "positions")
@@ -171,10 +171,17 @@ def require_distinct_texts(contexts):
                              % (a, b, context_text(a)))
 
 
-def extract_sequences(lex: Lexicon, inv: Inventory, cfg: StudyConfig, carriers: bool = False):
+def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool = False):
     """Build the sequence-frequency table; returns (table, excluded). With
     `carriers`, the same pass also fills `table.carriers`, the drill-down's
     index from each sequence to the entries that carry it.
+
+    `entries` is a Lexicon parsed against `inv`, or an iterable of
+    ``(orthography, transcription)`` as `read_entries` yields them, read
+    once: then no entry is kept, unless as a carrier (a LexEntry is built
+    for it). A transcription is a tuple of symbols, or, when every symbol
+    of `inv` is one character, also their text. In an iterable, a symbol
+    outside `inv` is a StudyError.
 
     Sequences are cut from each transcription by the plan of its
     consonant/vowel skeleton: the slice bounds ``(start, end)`` of its
@@ -182,46 +189,74 @@ def extract_sequences(lex: Lexicon, inv: Inventory, cfg: StudyConfig, carriers: 
     syllables (positions), or None when `syllabify` rejects the skeleton.
     Syllable spans depend only on the skeleton, so a plan is computed once
     per distinct skeleton and no syllables are built; a rejected entry is
-    syllabified once more, for the message of its error. The skeleton key
-    is the transcription's text through `inv.skeleton_table` when every
-    symbol is one character, else bytes of the vowel flags (bytes rather
-    than a tuple: no tuple free list keeps thousands of them alive after
-    the pass)."""
-    if lex.inventory is not inv:
-        raise StudyError("lexicon was parsed against a different inventory")
-    table = SequenceTable(carriers={} if carriers else None)
-    freqs, index = table.freqs, table.carriers
+    syllabified once more, for the message of its error. When every
+    symbol is one character, the skeleton is the transcription's text
+    through `inv.skeleton_table`. An iterable's transcriptions are then
+    read as text: sequences are counted under text slices, and each
+    distinct one becomes a tuple once, after the pass; a Lexicon's are
+    sliced as the tuples they are. Else the skeleton is bytes of the
+    vowel flags (bytes rather than a tuple: no tuple free list keeps
+    thousands of them alive after the pass)."""
+    as_text = bool(inv.skeleton_table)  # count under text slices
+    if isinstance(entries, Lexicon):
+        if entries.inventory is not inv:
+            raise StudyError("lexicon was parsed against a different inventory")
+        entries = entries.entries
+        as_text = False
+    freqs, index = {}, {} if carriers else None
     excluded = []
     skeleton_table = inv.skeleton_table
     is_vowel = inv.vowel_map.__getitem__
     lead = 1 if cfg.kind == "clusters" else -1  # the coda, or the whole syllable
     plans = {}
-    for ix, entry in enumerate(lex.entries):
-        t = entry.transcription
-        if skeleton_table:
-            skeleton = "".join(t).translate(skeleton_table)
-        else:
-            skeleton = bytes(map(is_vowel, t))
-        plan = plans.get(skeleton, False)  # a plan may be None or ()
-        if plan is False:
-            try:
-                plan = tuple((v + lead, end) for v, end in syllable_spans(t, inv)
-                             if end - v == 3)
-            except SyllabifyError:
-                plan = None
-            plans[skeleton] = plan
+    for ix, entry in enumerate(entries):
+        t = entry[1]  # no unpacking: a LexEntry would be unpacked through an iterator
+        try:
+            if as_text:
+                if t.__class__ is not str:
+                    text = "".join(t)
+                    if len(text) != len(t):  # a symbol of more or less than one character
+                        raise _unknown_symbol(ix, entry, inv)
+                    t = text
+                skeleton = t.translate(skeleton_table)
+            elif skeleton_table:  # a Lexicon's tuple of known symbols
+                skeleton = "".join(t).translate(skeleton_table)
+            else:
+                t = tuple(t)
+                skeleton = bytes(map(is_vowel, t))
+            plan = plans.get(skeleton, False)  # a plan may be None or ()
+            if plan is False:
+                try:
+                    plan = tuple((v + lead, end) for v, end in syllable_spans(t, inv)
+                                 if end - v == 3)
+                except SyllabifyError:
+                    plan = None
+                plans[skeleton] = plan
+        except KeyError:  # only a new skeleton can hold a symbol outside `inv`
+            raise _unknown_symbol(ix, entry, inv) from None
         if plan is None:
             try:
                 syllabify(t, inv)  # raises, naming the reason
             except PtracError as exc:
-                excluded.append(ExcludedEntry(ix, entry.orthography, str(exc)))
+                excluded.append(ExcludedEntry(ix, entry[0], str(exc)))
                 continue
+        if index is not None and plan and entry.__class__ is not LexEntry:
+            entry = tuple.__new__(LexEntry, (entry[0], tuple(t)))
         for o, e in plan:
             seq = t[o:e]
             freqs[seq] = freqs.get(seq, 0) + 1
             if index is not None:
                 index.setdefault(seq, []).append(entry)
-    return table, excluded
+    if as_text:  # text keys to tuple keys; distinct texts stay distinct
+        freqs = dict(zip(map(tuple, freqs), freqs.values()))
+        if index is not None:
+            index = dict(zip(map(tuple, index), index.values()))
+    return SequenceTable(freqs, index), excluded
+
+
+def _unknown_symbol(ix, entry, inv: Inventory) -> StudyError:
+    sym = next(s for s in entry[1] if s not in inv.vowel_map)
+    return StudyError("entry %d (%s): symbol %r is not in the inventory" % (ix, entry[0], sym))
 
 
 def _encode(freqs, inv: Inventory):
@@ -429,9 +464,10 @@ def list_pairs_for(pairs, feature, context, lex: Lexicon, inv: Inventory,
     """Drill-down report: pairs matching a feature and aggregated context,
     each with up to `limit` witness word pairs from the lexicon (see
     `_witnesses`). Contexts are those of `scheme_key`, so a scheme
-    `aggregate` refuses for the study is refused here too. `carriers` is `table.carriers` of
-    `extract_sequences(lex, inv, cfg, carriers=True)`; without it, the
-    lexicon is extracted again to build it."""
+    `aggregate` refuses for the study is refused here too. `carriers` is
+    `table.carriers` of `extract_sequences(..., carriers=True)`; `lex` is
+    read only when `carriers` is None, and is then extracted again to
+    build it."""
     if feature not in FEATURES:
         raise StudyError("unknown feature %r" % feature)
     key_of = scheme_key(scheme, cfg.kind, inv)
@@ -514,12 +550,14 @@ class StudyReport:
         }
 
 
-def run_study(lex: Lexicon, inv: Inventory, cfg: StudyConfig,
+def run_study(entries, inv: Inventory, cfg: StudyConfig,
               scheme: str = "frame") -> StudyReport:
-    """End-to-end composition: extract, then count the contrasts under the
-    aggregation scheme `scheme`, which is checked first (see `scheme_key`);
-    the pairs themselves are enumerated only if `report.pairs` is read."""
+    """End-to-end composition: extract from `entries`, a Lexicon or the
+    iterator of `read_entries` (see `extract_sequences`), then count the
+    contrasts under the aggregation scheme `scheme`, which is checked
+    first, before any entry is read (see `scheme_key`); the pairs
+    themselves are enumerated only if `report.pairs` is read."""
     scheme_key(scheme, cfg.kind, inv)
-    table, excluded = extract_sequences(lex, inv, cfg)
+    table, excluded = extract_sequences(entries, inv, cfg)
     return StudyReport(config=cfg, table=table, inventory=inv,
                        matrix=_count_table(table, inv, cfg, scheme), excluded=excluded)

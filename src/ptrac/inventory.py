@@ -83,8 +83,10 @@ class Inventory:
       its characters;
     * ``skeleton_table``: when every symbol is one character, a
       `str.translate` table from each symbol to ``"V"`` (vowel) or ``"C"``,
+      and from ``"C"`` and ``"V"``, unless they are symbols, to ``"-"``,
       else empty; ``"".join(t).translate(skeleton_table)`` is then the
-      consonant/vowel skeleton of transcription `t`;
+      consonant/vowel skeleton of transcription `t`, and a skeleton of
+      only ``"C"`` and ``"V"`` is that of a text of symbols;
     * ``vowel_map``: the symbol table, each symbol in definition order
       -> whether it is a vowel;
     * ``relation``: consonant -> {consonant: feature}, the pair relation
@@ -165,8 +167,9 @@ class Inventory:
         self.token_re = re.compile("|".join(map(re.escape, symbols)))
         one_char = all(len(s) == 1 for s in vm)
         self.char_symbols = frozenset(vm.keys() - {GLOTTAL_ALIAS} if one_char else ())
-        self.skeleton_table = str.maketrans(
-            {s: "V" if v else "C" for s, v in vm.items()} if one_char else {})
+        skeletons = {c: "-" for c in "CV" if c not in vm}
+        skeletons.update((s, "V" if v else "C") for s, v in vm.items())
+        self.skeleton_table = str.maketrans(skeletons if one_char else {})
         self.relation = {c: {} for c in self.consonants}
         for i, a in enumerate(self.consonants):
             for b in self.consonants[i + 1:]:

@@ -88,14 +88,18 @@ def tokenize_transcription(text: str, inv: Inventory):
     return tuple(tokens)
 
 
-def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
-    """Parse a lexicon file; returns (Lexicon, diagnostics).
+def read_entries(text: str, inv: Inventory, diagnostics: list):
+    """Yield ``(orthography, transcription)`` for each well-formed line of
+    a lexicon file, in line order; each malformed line instead appends a
+    Diagnostic to `diagnostics`. This is the lexicon's only line rule.
 
-    Malformed lines become diagnostics and are skipped. In strict mode any
-    diagnostic is fatal: one LexiconError lists them all, in line order.
-    """
-    entries = []
-    diagnostics = []
+    The transcription is a str when every symbol of `inv` is one character
+    (`inv.skeleton_table` is non-empty), each character a symbol, "?"
+    already read as the glottal stop; else a tuple of symbols. Nothing is
+    kept per line, so `core.extract_sequences` can read a file of any size
+    through it."""
+    chars = inv.char_symbols
+    one_char = bool(inv.skeleton_table)
     for no, line in enumerate(split_lines(text), start=1):
         head = line.lstrip()
         if not head or head[0] == "#":
@@ -104,17 +108,37 @@ def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
         if len(parts) < 2 or not parts[0] or not parts[1]:
             diagnostics.append(Diagnostic(no, "expected 'orthography<TAB>transcription'"))
             continue
-        try:
-            trans = tokenize_transcription(parts[1], inv)
-        except TokenizeError as exc:
-            diagnostics.append(Diagnostic(no, str(exc)))
-            continue
-        # tuple.__new__ skips the Python-level __new__ of the named tuple
-        entries.append(tuple.__new__(LexEntry, (parts[0], trans)))
+        trans = parts[1]
+        if not chars.issuperset(trans):  # always taken when `chars` is empty
+            try:
+                trans = tokenize_transcription(trans, inv)
+            except TokenizeError as exc:
+                diagnostics.append(Diagnostic(no, str(exc)))
+                continue
+            if one_char:
+                trans = "".join(trans)
+        yield parts[0], trans
+
+
+def strict_error(diagnostics) -> LexiconError:
+    """The error of a strict parse: every diagnostic, in line order."""
+    return LexiconError(
+        "%d malformed line(s): %s" % (len(diagnostics), "; ".join(map(str, diagnostics))))
+
+
+def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
+    """Parse a lexicon file; returns (Lexicon, diagnostics).
+
+    Malformed lines become diagnostics and are skipped (see
+    `read_entries`). In strict mode any diagnostic is fatal: one
+    LexiconError lists them all, in line order.
+    """
+    diagnostics = []
+    # tuple.__new__ skips the Python-level __new__ of the named tuple
+    entries = [tuple.__new__(LexEntry, (orth, tuple(trans)))
+               for orth, trans in read_entries(text, inv, diagnostics)]
     if strict and diagnostics:
-        raise LexiconError(
-            "%d malformed line(s): %s" % (len(diagnostics), "; ".join(map(str, diagnostics)))
-        )
+        raise strict_error(diagnostics)
     return Lexicon._of_tokenized(entries, inv), diagnostics
 
 

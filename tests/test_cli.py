@@ -338,7 +338,7 @@ def test_contexts_that_render_alike_are_a_validation_error(capsys, monkeypatch, 
 
     inv, lex = join_alike
     monkeypatch.setattr(ptrac.cli, "_load_inventory", lambda path: inv)
-    monkeypatch.setattr(ptrac.cli, "parse_lexicon", lambda text, inv, strict=False: (lex, []))
+    monkeypatch.setattr(ptrac.cli, "read_entries", lambda text, inv, diagnostics: iter(lex))
     lexicon = tmp_path / "lex.tsv"
     lexicon.write_text("", encoding="utf-8")
     code, out, err = run(capsys, command[:1] + ["--inventory", "unused", "--lexicon",
@@ -407,6 +407,37 @@ def test_refused_scheme_extracts_nothing(capsys, monkeypatch, inv_path, lex_path
                                                 "--study", "clusters"] + command[1:])
     assert (code, out, err) == (2, "", "error: position scheme requires a positions study\n")
     assert configs == []
+
+
+MIXED_STRICT_ERROR = (
+    "error: 3 malformed line(s): line 3: expected 'orthography<TAB>transcription'; "
+    "line 5: no inventory symbol matches '5' at offset 2; "
+    "line 9: expected 'orthography<TAB>transcription'\n")
+
+
+@pytest.mark.parametrize("aggregate", [[], ["--aggregate", "position"]],
+                         ids=["accepted", "refused"])
+def test_analyze_strict_error_alone(capsys, inv_path, tmp_path, aggregate):
+    # The strict error wins over a refused scheme, and no warning is written.
+    lex = tmp_path / "mixed.tsv"
+    lex.write_text(MIXED_LEXICON, encoding="utf-8")
+    code, out, err = run(capsys, ["analyze", "--inventory", inv_path, "--lexicon", str(lex),
+                                  "--study", "clusters", "--strict", *aggregate])
+    assert (code, out, err) == (2, "", MIXED_STRICT_ERROR)
+
+
+def test_list_pairs_refused_scheme_follows_every_diagnostic(capsys, inv_path, tmp_path):
+    # The scheme is refused before the lexicon is extracted; the lines are
+    # still read to the last, so every diagnostic comes before the error.
+    lex = tmp_path / "mixed.tsv"
+    lex.write_text(MIXED_LEXICON + "last\n", encoding="utf-8")
+    code, out, err = run(capsys, ["list-pairs", "--inventory", inv_path, "--lexicon", str(lex),
+                                  "--study", "clusters", "--scheme", "position",
+                                  "--feature", "voice", "--context", "C1"])
+    assert (code, out) == (2, "")
+    assert err == (MIXED_DIAGNOSTICS
+                   + "warning: line 12: expected 'orthography<TAB>transcription'\n"
+                   + "error: position scheme requires a positions study\n")
 
 
 def test_analyze_diagnostics_written_before_a_failing_study(capsys, monkeypatch, inv_path,

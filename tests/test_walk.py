@@ -1,11 +1,14 @@
-"""The integer-coded neighbour walk behind `run_study` and
-`enumerate_minimal_sequence_pairs`, where the random cases of
-`test_count.py` and `test_enumerate.py` do not reach it: inventories with
-more symbols than six bits can code, and hand-built tables whose
+"""The integer-coded neighbour lookups, where the random cases of
+`test_count.py` and `test_enumerate.py` do not reach them: inventories
+with more symbols than six bits can code, and hand-built tables whose
 sequences differ in length, so that codes are padded on the right.
+`_walk` is behind `enumerate_minimal_sequence_pairs` only; `run_study`
+counts in `_count_table`, whose own loop makes the same lookups over the
+same passes (`_encode`, `_passes`).
 
 Pairs are held to `bucket_pairs`, the frame-bucket reference, in order and
-key objects; cells to `count_contrasts` of those pairs."""
+key objects; the cells of `_count_table` to `count_contrasts` of those
+pairs."""
 
 import itertools
 import random
