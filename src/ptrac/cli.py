@@ -94,7 +94,7 @@ def _read(path, error):
         return raw[bom:].decode("utf-8")
     except UnicodeDecodeError as exc:
         at = bom + exc.start
-        line = len(split_lines(raw[bom:at].decode("utf-8")))
+        line = sum(1 for _ in split_lines(raw[bom:at].decode("utf-8")))
         raise error("line %d: byte 0x%02x at offset %d of %s is not valid UTF-8"
                     % (line, raw[at], at, path)) from None
 

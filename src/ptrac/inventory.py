@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import InventoryError
 
@@ -221,14 +222,31 @@ def featural_pairs(inv: Inventory, feature: str, orientation: str = "unordered")
     )
 
 
+_SLICE = 1 << 16  # `split_lines` splits this many characters at a time, up to a break
+
+
 def split_lines(text):
-    """The lines of `text`, ended only by "\n", "\r\n" or a lone "\r", as
-    universal newlines read a file; unlike `str.splitlines`, U+2028, U+0085,
-    form feeds and the like stay inside their line. A final line break
-    leaves an empty last line."""
+    """An iterator over the lines of `text`, ended only by "\n", "\r\n" or
+    a lone "\r", as universal newlines read a file; unlike
+    `str.splitlines`, U+2028, U+0085, form feeds and the like stay inside
+    their line. A final line break leaves an empty last line.
+
+    The text is split one slice of about 64 KiB at a time, each ending at a
+    line break, so no list of every line is built."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+    return chain.from_iterable(s.split("\n") for s in _slices(text))
+
+
+def _slices(text):
+    """The slices of `text`, cut at line breaks: each runs from the end of
+    the last cut to the first "\n" at least `_SLICE` characters on, the
+    last to the end of `text`. Joined with "\n", they are `text`."""
+    start = 0
+    while (end := text.find("\n", start + _SLICE)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
 
 
 def _split_sections(text):

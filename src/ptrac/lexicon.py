@@ -96,8 +96,9 @@ def read_entries(text: str, inv: Inventory, diagnostics: list):
     The transcription is a str when every symbol of `inv` is one character
     (`inv.skeleton_table` is non-empty), each character a symbol, "?"
     already read as the glottal stop; else a tuple of symbols. Nothing is
-    kept per line, so `core.extract_sequences` can read a file of any size
-    through it."""
+    kept per line: `split_lines` splits the text one slice of about 64 KiB
+    at a time, so beside `text` only that slice's lines are held, and
+    `core.extract_sequences` can read a file of any size through it."""
     chars = inv.char_symbols
     one_char = bool(inv.skeleton_table)
     for no, line in enumerate(split_lines(text), start=1):

@@ -296,11 +296,21 @@ def test_lexicon_with_bom(capsys, inv_path, tmp_path):
     assert out.endswith("\t(hosn, hozn)\n")
 
 
+# 10,000 lines ending in \n, \r\n and a lone \r in turn: 142,223
+# characters, more than two of the 65,536-character slices `split_lines`
+# splits at a time. Each "ö" is two bytes, so a byte offset is not a
+# character count.
+PAST_TWO_SLICES = "".join("wörd%d\tband%s" % (i, ("\n", "\r\n", "\r")[i % 3])
+                          for i in range(10000)).encode("utf-8")
+
+
 @pytest.mark.parametrize("command", ["analyze", "syllabify", "list-pairs"])
 @pytest.mark.parametrize("raw, line, offset", [
     (b"ab\tsa\xffk\n", 1, 5),
     (b"\xef\xbb\xbfab\tsak\r\ncd\tsa\xffk\n", 2, 16),  # the mark counts, \r\n is one break
     (b"# x\r# y\n\n\xc3", 4, 9),  # a lone \r ends a line; a sequence cut short
+    pytest.param(PAST_TWO_SLICES + b"ab\tsa\xffk\n", 10001, len(PAST_TWO_SLICES) + 5,
+                 id="past-two-slices"),
 ])
 def test_non_utf8_lexicon_is_a_validation_error(capsys, inv_path, tmp_path, command,
                                                  raw, line, offset):

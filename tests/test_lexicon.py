@@ -301,7 +301,7 @@ def test_split_lines_matches_universal_newlines(text):
     from ptrac.inventory import split_lines
 
     read = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8").read()
-    assert split_lines(text) == read.split("\n")
+    assert list(split_lines(text)) == read.split("\n")
 
 
 def _plain_parse_lexicon(text, inv):
@@ -327,6 +327,60 @@ def _plain_parse_lexicon(text, inv):
             continue
         entries.append(LexEntry(parts[0], trans))
     return entries, diagnostics
+
+
+# Short lines for the windows around slice boundaries: blank and comment
+# lines, " ", U+0085 and form feeds (which universal newlines do not
+# break at), entries, and malformed and untokenizable lines.
+WINDOW_LINES = ["", " ", "\x85", "\x0c", "#c", "w\tba", "a\x85b\tsak", "\x0c\tband",
+                "w\tba5d", "bad line", "x \tsa?b", "w\t\x85", "w\tsa\x0cb"]
+ENDINGS = ["\n", "\r\n", "\r"]
+
+
+def _slice_boundary_text(rng):
+    """A lexicon text longer than three slices of `split_lines`: five
+    windows of short lines, each line ended by a random one of ENDINGS,
+    between four filler lines about a slice long. A filler holds no break,
+    so every slice ends at a break inside a window, with window lines and
+    breaks of every kind on both sides of it."""
+    from ptrac.inventory import _SLICE
+
+    lines = []
+    for window in range(5):
+        if window:
+            trans = "".join(rng.choices("band", k=_SLICE - rng.randrange(200)))
+            if rng.random() < 0.3:
+                trans += "5"  # untokenizable
+            lines.append("w\x85 \x0c\u2028%d\t%s" % (window, trans))
+        lines += rng.choices(WINDOW_LINES, k=rng.randrange(1, 25))
+    text = "".join(line + rng.choice(ENDINGS) for line in lines)
+    # with or without a final break (a last "\r\n" cut to "\r" is still one)
+    return text if rng.random() < 0.5 else text[:-1]
+
+
+@pytest.mark.parametrize("multichar", [False, True], ids=["one-char", "multichar"])
+@pytest.mark.parametrize("seed", range(6))
+def test_slice_boundaries(persian, seed, multichar):
+    import io
+    import random
+
+    from ptrac import data, parse_inventory
+    from ptrac.inventory import _SLICE, split_lines
+    from ptrac.lexicon import read_entries
+
+    inv = persian
+    if multichar:
+        inv = parse_inventory(data.persian_inventory_text().replace(
+            "[phonemes]\n", "[phonemes]\nŋŋ vowel\n", 1))
+    text = _slice_boundary_text(random.Random(seed))
+    read = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8").read()
+    assert len(read) > 3 * _SLICE
+    assert list(split_lines(text)) == read.split("\n")
+    entries, diagnostics = _plain_parse_lexicon(text, inv)
+    diags = []
+    assert [(o, tuple(t)) for o, t in read_entries(text, inv, diags)] == entries
+    assert diags == diagnostics
+    assert diagnostics  # the windows hold malformed lines
 
 
 def _hash_symbol_inventory():

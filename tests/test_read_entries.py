@@ -4,7 +4,9 @@ parsed Lexicon, and both equal the syllabifying reference of
 `test_plans.py`. No entry is kept unless as a carrier."""
 
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,9 @@ from randlex import hostile_case, make_case, random_word
 from test_lexicon import lexicon_text
 from test_plans import reference_extract
 from test_walk import wide_case
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import generate  # noqa: E402
 
 # A "?"-aliased line, CRLF and CR line ends, comments, a blank line, a
 # third column, a malformed line, an untokenizable line and two
@@ -194,3 +199,17 @@ def test_the_stream_keeps_no_entry_per_word():
         extract_sequences(parse_lexicon(text, PERSIAN)[0], PERSIAN, cfg)
 
     assert _peak(streamed) < _peak(parsed) / 2
+
+
+def test_the_stream_holds_one_slice_of_lines():
+    # The benchmark's clusters-100k lexicon: 100,002 lines in 1.5 MB of
+    # text. A list of every line alone would take about 7 MB; the stream
+    # holds the lines of one slice, and the whole pass peaks near 1 MB.
+    text = generate("clusters-100k", 11, sorted(PERSIAN.consonants),
+                    sorted(PERSIAN.vowels)).text
+    cfg = StudyConfig(kind="clusters")
+
+    def study():
+        run_study(read_entries(text, PERSIAN, []), PERSIAN, cfg, scheme="following-segment")
+
+    assert _peak(study) < 2_500_000
