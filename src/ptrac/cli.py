@@ -130,7 +130,10 @@ def _emit(text, out):
 def _cmd_syllabify(args):
     inv = _load_inventory(args.inventory)
     failures = 0
-    if args.lexicon:
+    if args.words and args.lexicon is not None:
+        print("ptrac syllabify: give words or --lexicon, not both", file=sys.stderr)
+        return EXIT_USAGE
+    if args.lexicon is not None:
         diags = []
         items = list(read_entries(_read(args.lexicon, LexiconError), inv, diags))
         _warn(diags)

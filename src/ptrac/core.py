@@ -278,14 +278,14 @@ def _encode(freqs, inv: Inventory):
 
 
 def _passes(inv: Inventory, cfg: StudyConfig, shifts):
-    """The walk's passes over positions, as ``(shift, steps)``: ``steps[x]``
-    lists ``(delta, feature index)`` for each consonant that code x is
-    swapped for, in code order, of `cfg.feature` alone when it filters one.
-    Adding delta to a sequence swaps the symbol at that shift. Up passes
-    swap for larger codes, from the last position to the first; an ordered
-    study first makes down passes, first position to last. A sequence's
-    neighbours so come out in tuple order, each pair of an unordered study
-    once, from its smaller member."""
+    """The walk's passes over positions, as ``(position, shift, steps)``:
+    ``steps[x]`` lists ``(delta, feature index)`` for each consonant that
+    code x is swapped for, in code order, of `cfg.feature` alone when it
+    filters one. Adding delta to a sequence swaps the symbol at that shift.
+    Up passes swap for larger codes, from the last position to the first;
+    an ordered study first makes down passes, first position to last. A
+    sequence's neighbours so come out in tuple order, each pair of an
+    unordered study once, from its smaller member."""
     codes = inv.codes
     up = [[] for _ in inv.code_symbols]
     down = [[] for _ in inv.code_symbols]
@@ -295,40 +295,13 @@ def _passes(inv: Inventory, cfg: StudyConfig, shifts):
             if cfg.feature is None or feature == cfg.feature:
                 cy = codes[y]
                 (up if cy > cx else down)[cx].append((cy - cx, FEATURES.index(feature)))
-    passes = [(shift, [[(d << shift, f) for d, f in st] for st in up]) for shift in shifts]
+    passes = [(pos, shift, [[(d << shift, f) for d, f in st] for st in up])
+              for pos, shift in enumerate(shifts)]
     passes.reverse()
     if cfg.orientation == "ordered":
-        passes[:0] = [(shift, [[(d << shift, f) for d, f in st] for st in down])
-                      for shift in shifts]
+        passes[:0] = [(pos, shift, [[(d << shift, f) for d, f in st] for st in down])
+                      for pos, shift in enumerate(shifts)]
     return passes
-
-
-def _walk(coded, inv: Inventory, cfg: StudyConfig, shifts):
-    """Yield ``(a, b, key, weight)`` for each minimal pair of the coded
-    table `coded` (see `_encode`), ordered by a, then
-    b. `key` is ``frame << 2 | feature index``, where the frame is a with
-    code 0 (HOLE) at the differing position, and `weight` is
-    min(freq(a), freq(b)).
-
-    A neighbour of a is a with one consonant swapped for one it contrasts
-    with in exactly one feature, ``a + delta``; it pairs with a iff it is
-    in the table. The cost grows with the number of sequences and the
-    degree of the pair relation."""
-    mask = (1 << inv.code_bits) - 1
-    passes = _passes(inv, cfg, shifts)
-    get = coded.get
-    for a in sorted(coded):
-        fa = coded[a]
-        for shift, steps in passes:
-            x = a >> shift & mask
-            st = steps[x]
-            if st:
-                base = (a - (x << shift)) << 2  # the frame, shifted for its key
-                for d, f in st:
-                    b = a + d
-                    fb = get(b)
-                    if fb is not None:
-                        yield a, b, base | f, fa if fa < fb else fb
 
 
 def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: StudyConfig):
@@ -339,13 +312,28 @@ def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: 
     position whose two segments are consonants contrasting in exactly one
     feature. Unordered orientation emits each pair once (lexicographically
     smaller member first); ordered emits both orientations.
+
+    A neighbour of a coded sequence a (see `_encode`) is a with one
+    consonant swapped for one it contrasts with in exactly one feature,
+    ``a + delta`` of a pass (see `_passes`); it pairs with a iff it is in
+    the table. The cost grows with the number of sequences and the degree
+    of the pair relation.
     """
     coded, shifts = _encode(table.freqs, inv)
     seqs = dict(zip(coded, table.freqs))
-    last, bits = len(shifts) - 1, inv.code_bits
-    return [MinimalSequencePair(seqs[a], seqs[b], last - ((a ^ b).bit_length() - 1) // bits,
-                                FEATURES[key & 3], weight)
-            for a, b, key, weight in _walk(coded, inv, cfg, shifts)]
+    mask = (1 << inv.code_bits) - 1
+    passes = _passes(inv, cfg, shifts)
+    get = coded.get
+    pairs = []
+    for a in sorted(coded):
+        fa, seq_a = coded[a], seqs[a]
+        for pos, shift, steps in passes:
+            for d, f in steps[a >> shift & mask]:
+                fb = get(a + d)
+                if fb is not None:
+                    pairs.append(MinimalSequencePair(seq_a, seqs[a + d], pos, FEATURES[f],
+                                                     fa if fa < fb else fb))
+    return pairs
 
 
 def count_contrasts(pairs, cfg: StudyConfig) -> ContrastMatrix:
@@ -365,25 +353,27 @@ def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
     `enumerate_minimal_sequence_pairs`, counted straight from the coded
     table, with no pair, frame or cell built per pair.
 
-    Neighbours are found as `_walk` finds them. Each pair adds its weight
-    to a row of one ``[weighted, pairs]`` slot per feature, and the row is
-    picked once per sequence and pass, at the pass's first pair. Under
-    frame, a row is keyed by the coded frame and each frame is decoded once
-    after the walk. Any other scheme's context depends only on the hole's
-    position and the code after it, padding 0 included (see `scheme_key`).
-    So before the walk, each (shift, next code) is mapped to the row of its
-    context, shared by the passes at that shift. The row of context None
-    holds the pairs the scheme leaves out; they count only towards
-    `pairs_found`."""
+    Neighbours are found over the same passes as the enumeration finds
+    them, in a loop of its own. Each pair adds its weight to a row of one
+    ``[weighted, pairs]`` slot per feature, and the row is picked once per
+    sequence and pass, at the pass's first pair. Under frame, a row is
+    keyed by the coded frame, and a frame's tuple is made with `frame_of`
+    from the sequence and position of its first pair. Any other scheme's
+    context depends only on the hole's position and the code after it,
+    padding 0 included (see `scheme_key`). So before the walk, each pass
+    maps every next code to the row of its context, shared by the passes
+    at that position. The row of context None holds the pairs the scheme
+    leaves out; they count only towards `pairs_found`."""
     key_of = scheme_key(scheme, cfg.kind, inv)
     coded, shifts = _encode(table.freqs, inv)
     bits, symbols = inv.code_bits, inv.code_symbols
     mask = (1 << bits) - 1
     rows = {}  # context, or under frame the coded frame -> row
-    keyed = {}  # shift -> (mask of a sequence's row key, row of each key)
-    for pos, shift in enumerate(shifts):
+    frames = []  # under frame, (coded sequence, shift, row) of each row's first pair
+    passes = []  # (shift, steps, mask of a sequence's row key, row of each key)
+    for pos, shift, steps in _passes(inv, cfg, shifts):
         if scheme == "frame":
-            keyed[shift] = (~(mask << shift), rows)
+            passes.append((shift, steps, ~(mask << shift), rows))
             continue
         # A row key is the code after the hole, left in place: 0 for padding,
         # and always 0 after the last position. Its context is that of any
@@ -393,8 +383,7 @@ def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
         for c in range(len(symbols) if shift else 1):
             ctx = key_of((HOLE,) * (pos + 1) + ((symbols[c],) if c else ()), pos)
             by_key[c << nxt] = rows.setdefault(ctx, [[0, 0] for _ in FEATURES])
-        keyed[shift] = (mask << nxt if shift else 0, by_key)
-    passes = [(shift, steps, *keyed[shift]) for shift, steps in _passes(inv, cfg, shifts)]
+        passes.append((shift, steps, mask << nxt if shift else 0, by_key))
     get = coded.get
     for a, fa in coded.items():
         for shift, steps, kmask, by_key in passes:
@@ -408,12 +397,14 @@ def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
                             row = by_key.get(a & kmask)
                             if row is None:  # a frame's first pair
                                 row = by_key[a & kmask] = [[0, 0] for _ in FEATURES]
+                                frames.append((a, shift, row))
                         slot = row[f]
                         slot[0] += fa if fa < fb else fb
                         slot[1] += 1
+    if scheme == "frame":  # a shift's index in `shifts` is its position
+        seqs = dict(zip(coded, table.freqs))
+        rows = {frame_of(seqs[a], shifts.index(shift)): row for a, shift, row in frames}
     del coded
-    if scheme == "frame":
-        rows = {_decode_frame(code, shifts, mask, symbols): row for code, row in rows.items()}
     weighted = cfg.weighting == "type-frequency"
     cells, found = {}, 0
     for ctx, row in rows.items():
@@ -424,18 +415,6 @@ def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
                     cells[ctx, feature] = Cell(w if weighted else n, n)
     return ContrastMatrix(cells=cells, features=(cfg.feature,) if cfg.feature else FEATURES,
                           scheme=scheme, kind=cfg.kind, pairs_found=found)
-
-
-def _decode_frame(code, shifts, mask, symbols) -> tuple:
-    """The frame tuple of a coded frame: its symbols run to the hole (the
-    first code 0) or to its last nonzero code, whichever is later; later
-    zeros pad a sequence shorter than the table's longest."""
-    digits = [code >> shift & mask for shift in shifts]
-    if not digits[-1]:
-        hole = digits.index(0)
-        while len(digits) > hole + 1 and not digits[-1]:
-            digits.pop()
-    return tuple([symbols[d] for d in digits])
 
 
 def aggregate(matrix: ContrastMatrix, scheme: str, inv: Inventory = None) -> ContrastMatrix:

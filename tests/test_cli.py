@@ -41,6 +41,18 @@ def test_syllabify_lexicon(capsys, inv_path, lex_path):
     assert out.splitlines()[0] == "?asl".replace("?", "'")
 
 
+@pytest.mark.parametrize("words, lexicon, message", [
+    ([], None, "ptrac syllabify: give words or --lexicon\n"),
+    (["zzzz"], "fixture", "ptrac syllabify: give words or --lexicon, not both\n"),
+    (["bara"], "", "ptrac syllabify: give words or --lexicon, not both\n"),
+], ids=["no-input", "words-and-lexicon", "words-and-empty-lexicon-path"])
+def test_syllabify_needs_words_or_lexicon(capsys, inv_path, lex_path, words, lexicon, message):
+    argv = ["syllabify", "--inventory", inv_path]
+    if lexicon is not None:
+        argv += ["--lexicon", lex_path if lexicon == "fixture" else lexicon]
+    assert run(capsys, argv + words) == (1, "", message)
+
+
 def test_syllabify_invalid_word(capsys, inv_path):
     code, out, err = run(capsys, ["syllabify", "--inventory", inv_path, "ab"])
     assert code == 2
@@ -86,14 +98,19 @@ def test_analyze_missing_lexicon_flag(capsys, inv_path):
     assert "usage" in err
 
 
-def test_analyze_missing_file(capsys, inv_path):
-    code, _, err = run(
-        capsys,
-        ["analyze", "--inventory", inv_path, "--lexicon", "/nonexistent.tsv",
-         "--study", "clusters"],
-    )
+@pytest.mark.parametrize("lexicon, out", [
+    ("/nonexistent.tsv", None),
+    (None, "missing-dir/out.csv"),  # --out into a directory that does not exist
+    (None, "."),  # --out onto a directory
+], ids=["missing-lexicon", "out-in-missing-dir", "out-onto-dir"])
+def test_analyze_missing_file(capsys, inv_path, lex_path, tmp_path, lexicon, out):
+    argv = ["analyze", "--inventory", inv_path, "--lexicon", lexicon or lex_path,
+            "--study", "clusters"]
+    code, stdout, err = run(capsys, argv + (["--out", str(tmp_path / out)] if out else []))
     assert code == 1
     assert "error" in err
+    assert err.startswith("error: [Errno") and "Traceback" not in err
+    assert stdout == ""
 
 
 def test_analyze_strict_bad_lexicon(capsys, inv_path, tmp_path):

@@ -2,7 +2,7 @@
 `test_count.py` and `test_enumerate.py` do not reach them: inventories
 with more symbols than six bits can code, and hand-built tables whose
 sequences differ in length, so that codes are padded on the right.
-`_walk` is behind `enumerate_minimal_sequence_pairs` only; `run_study`
+`enumerate_minimal_sequence_pairs` lists the pairs in one loop; `run_study`
 counts in `_count_table`, whose own loop makes the same lookups over the
 same passes (`_encode`, `_passes`).
 
