@@ -200,7 +200,11 @@ def _cmd_list_pairs(args):
     except StudyError:  # it follows every line's diagnostic
         _diagnose(diags, rest=entries)
         raise
-    cfg = StudyConfig(kind=args.study)
+    # Only frames of multi-character symbols can render alike, also across
+    # features, and `list_pairs_for` must see every frame of the context's
+    # text to refuse such a collision; any other walk needs the feature alone.
+    every_feature = args.scheme == "frame" and not inv.skeleton_table
+    cfg = StudyConfig(kind=args.study, feature=None if every_feature else args.feature)
     table, _ = extract_sequences(entries, inv, cfg, carriers=True)
     _warn(diags)
     pairs = enumerate_minimal_sequence_pairs(table, inv, cfg)

@@ -464,11 +464,23 @@ def list_pairs_for(pairs, feature, context, lex: Lexicon, inv: Inventory,
 
     if carriers is None:
         carriers = extract_sequences(lex, inv, cfg, carriers=True)[0].carriers
-    by_text = {}  # filled by `_witnesses`
-    return [PairReportRow(p, _witnesses(p, carriers, by_text, limit)) for p in matching]
+    # The pairs, by the sequence each looks up in (see `_witnesses`); each
+    # group is served from one lookup, dropped before the next is built.
+    groups = {}
+    for i, p in enumerate(matching):
+        flip = len(carriers.get(p.seq_a, ())) > len(carriers.get(p.seq_b, ()))
+        groups.setdefault(p.seq_a if flip else p.seq_b, []).append(i)
+    witnesses = [None] * len(matching)
+    for seq, members in groups.items():
+        lookup = {}
+        for i, entry in enumerate(carriers.get(seq, ())):
+            lookup.setdefault(entry.transcription, []).append(i)
+        for i in members:
+            witnesses[i] = _witnesses(matching[i], carriers, lookup, limit)
+    return [PairReportRow(p, w) for p, w in zip(matching, witnesses)]
 
 
-def _witnesses(pair, carriers, by_text, limit):
+def _witnesses(pair, carriers, lookup, limit):
     """Witness word pairs: words whose transcriptions differ only at the
     pair's contrasting segment, at most `limit`, ordered by the carrier of
     seq_a, then by the carrier of seq_b; without any, the first carriers of
@@ -478,19 +490,16 @@ def _witnesses(pair, carriers, by_text, limit):
     its carriers, with one contrasting symbol swapped for the other, is
     looked up among the carriers of the other side by transcription. A
     swap is its own inverse, and two swapped positions give different
-    transcriptions, so either side finds each aligned pair once. `by_text`
-    caches, per sequence, its carriers' indices by transcription."""
+    transcriptions, so either side finds each aligned pair once. `lookup`
+    maps each transcription of the other side's carriers to their indices;
+    the other side is seq_a when it has more carriers than seq_b, else
+    seq_b."""
     wa = carriers.get(pair.seq_a, [])
     wb = carriers.get(pair.seq_b, [])
     a, b = pair.seq_a[pair.position], pair.seq_b[pair.position]
     swap = {a: b, b: a}
     flip = len(wa) > len(wb)  # scan wb, look up in wa
-    scan, seq = (wb, pair.seq_a) if flip else (wa, pair.seq_b)
-    lookup = by_text.get(seq)
-    if lookup is None:
-        lookup = by_text[seq] = {}
-        for i, entry in enumerate(carriers.get(seq, ())):
-            lookup.setdefault(entry.transcription, []).append(i)
+    scan = wb if flip else wa
     aligned = []  # (index in wa, index in wb)
     for x, entry in enumerate(scan):
         t = entry.transcription

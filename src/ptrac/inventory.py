@@ -223,6 +223,7 @@ def featural_pairs(inv: Inventory, feature: str, orientation: str = "unordered")
 
 
 _SLICE = 1 << 16  # `split_lines` splits this many characters at a time, up to a break
+_BREAK = re.compile("\r\n?|\n")
 
 
 def split_lines(text):
@@ -232,20 +233,29 @@ def split_lines(text):
     their line. A final line break leaves an empty last line.
 
     The text is split one slice of about 64 KiB at a time, each ending at a
-    line break, so no list of every line is built."""
+    line break, so no list of every line is built, and line ends are made
+    "\n" one slice at a time, so no copy of the whole text either."""
+    return chain.from_iterable(map(_lines, _slices(text)))
+
+
+def _lines(text):
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return chain.from_iterable(s.split("\n") for s in _slices(text))
+    return text.split("\n")
 
 
 def _slices(text):
     """The slices of `text`, cut at line breaks: each runs from the end of
-    the last cut to the first "\n" at least `_SLICE` characters on, the
-    last to the end of `text`. Joined with "\n", they are `text`."""
+    the last cut to the first "\n", "\r\n" or lone "\r" at least `_SLICE`
+    characters on, the last to the end of `text`. Joined with the breaks
+    they were cut at, they are `text`; no cut falls inside a "\r\n"."""
     start = 0
-    while (end := text.find("\n", start + _SLICE)) >= 0:
+    while (m := _BREAK.search(text, start + _SLICE)) is not None:
+        end, after = m.span()
+        if text[end] == "\n" and text[end - 1] == "\r":  # the cut fell inside a "\r\n"
+            end -= 1
         yield text[start:end]
-        start = end + 1
+        start = after
     yield text[start:]
 
 

@@ -62,3 +62,22 @@ def join_alike():
     words = [("t", "sa", "k", "g"), ("ts", "a", "k", "k"),
              ("t", "sa", "k", "k"), ("ts", "a", "k", "g")]
     return inv, Lexicon([LexEntry("w%d" % i, w) for i, w in enumerate(words)], inv)
+
+
+@pytest.fixture(scope="session")
+def join_alike_across_features():
+    """The positions study of `join_alike` with one more consonant, "n",
+    and a manner relation: the voice frame ("t", "sa", "k", "_") and the
+    manner frame ("ts", "a", "k", "_") both render as "tsak_"."""
+    from ptrac import Inventory, Lexicon, LexEntry
+    from ptrac.inventory import FeatureSystem, Phoneme
+
+    inv = Inventory(
+        [Phoneme(c, False) for c in ("t", "ts", "k", "g", "n")]
+        + [Phoneme(v, True) for v in ("a", "sa")],
+        FeatureSystem(mode="pair-list", pair_relation={frozenset(("k", "g")): "voice",
+                                                       frozenset(("k", "n")): "manner"}),
+    )
+    words = [("t", "sa", "k", "g"), ("t", "sa", "k", "k"),
+             ("ts", "a", "k", "k"), ("ts", "a", "k", "n")]
+    return inv, Lexicon([LexEntry("w%d" % i, w) for i, w in enumerate(words)], inv)

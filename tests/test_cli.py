@@ -375,6 +375,29 @@ def test_contexts_that_render_alike_are_a_validation_error(capsys, monkeypatch, 
                    "both render as 'tsak_'\n")
 
 
+@pytest.mark.parametrize("scheme, context, code, out, err", [
+    ("frame", "tsak_", 2, "", "error: contexts ('t', 'sa', 'k', '_') and ('ts', 'a', 'k', '_') "
+     "both render as 'tsak_'\n"),
+    ("position", "C3", 0, "tsakg\ttsakk\ttsak_\tvoice\t1\t(w0, w1)\n", ""),
+], ids=["frame", "position"])
+def test_list_pairs_sees_frames_of_every_feature(capsys, monkeypatch, tmp_path,
+                                                 join_alike_across_features, scheme, context,
+                                                 code, out, err):
+    # The voice drill-down walks the manner pairs too under frame, where a
+    # manner frame renders as the voice frame's text; under position no
+    # context can collide, and the voice pair prints.
+    import ptrac.cli
+
+    inv, lex = join_alike_across_features
+    monkeypatch.setattr(ptrac.cli, "_load_inventory", lambda path: inv)
+    monkeypatch.setattr(ptrac.cli, "read_entries", lambda text, inv, diagnostics: iter(lex))
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("", encoding="utf-8")
+    assert run(capsys, ["list-pairs", "--inventory", "unused", "--lexicon", str(lexicon),
+                        "--study", "positions", "--scheme", scheme, "--feature", "voice",
+                        "--context", context]) == (code, out, err)
+
+
 # A malformed line, an untokenizable line and two unsyllabifiable words.
 MIXED_LEXICON = ("band\tband\n# comment\nbad line\npand\tpand\nw5\tba5d\nakt\takt\n\n"
                  "sard\tsard\nno trans\t\nsart\tsart\nbrak\tbrak\n")

@@ -1,0 +1,115 @@
+"""`ptrac list-pairs` held to the library's full drill-down path.
+
+The command enumerates the requested feature alone (every feature under
+frame when a symbol has more than one character) and serves witnesses one
+lookup at a time. Its stdout must equal the rows of `list_pairs_for` over
+`enumerate_minimal_sequence_pairs` of every feature, and where that path
+refuses the context, the command exits 2 with the same message.
+"""
+
+import random
+
+import pytest
+
+from randlex import make_case, random_word
+from ptrac import (LexEntry, Lexicon, StudyConfig, StudyError, data,
+                   enumerate_minimal_sequence_pairs, extract_sequences, list_pairs_for,
+                   parse_inventory, parse_lexicon, run_study, serialize_lexicon)
+from ptrac.cli import cli_main
+from ptrac.core import KINDS, SCHEMES, context_text
+from ptrac.inventory import FEATURES
+
+PERSIAN = data.persian_inventory_text()
+INVENTORIES = {
+    "one-char": PERSIAN,
+    # a two-character vowel turns off the one-character paths
+    "multichar": PERSIAN.replace("[phonemes]\n", "[phonemes]\nŋŋ vowel\n", 1),
+}
+ABSENT = "absent"  # a context no scheme gives
+
+
+def sample_contexts(lex, inv, cfg, scheme, n=4):
+    """The context texts of the study's matrix under `scheme` that two
+    keys share (a drill-down refuses them), up to `n` more spread over its
+    rows, as `analyze` prints them, and ABSENT."""
+    texts = [context_text(c) for c in run_study(lex, inv, cfg, scheme).matrix.contexts()]
+    shared = sorted({a for a, b in zip(texts, texts[1:]) if a == b})
+    return shared + texts[::max(1, len(texts) // n)][:n] + [ABSENT]
+
+
+def expected(pairs, lex, inv, cfg, scheme, feature, context):
+    """(exit code, stdout, stderr) of the full path."""
+    try:
+        rows = list_pairs_for(pairs, feature, context, lex, inv, cfg, scheme=scheme)
+    except StudyError as exc:
+        return 2, "", "error: %s\n" % exc
+    return 0, "".join(
+        "%s\t%s\t%s\t%s\t%d\t%s\n" % ("".join(r.pair.seq_a), "".join(r.pair.seq_b), r.pair.frame,
+                                      r.pair.feature, r.pair.weight,
+                                      " ".join("(%s, %s)" % w for w in r.witnesses))
+        for r in rows), ""
+
+
+def check_every_drilldown(capsys, lex, inv, kind, argv):
+    """Compare the command with the full path for every scheme the study
+    takes, every feature and the sampled contexts; returns the numbers of
+    rows printed and of drill-downs refused."""
+    cfg = StudyConfig(kind)
+    pairs = enumerate_minimal_sequence_pairs(extract_sequences(lex, inv, cfg)[0], inv, cfg)
+    printed = refused = 0
+    for scheme in SCHEMES:
+        if scheme == "position" and kind != "positions":
+            continue
+        for context in sample_contexts(lex, inv, cfg, scheme):
+            for feature in FEATURES:
+                want = expected(pairs, lex, inv, cfg, scheme, feature, context)
+                code = cli_main(["list-pairs"] + argv + [
+                    "--study", kind, "--scheme", scheme, "--feature", feature,
+                    "--context", context])
+                captured = capsys.readouterr()
+                assert (code, captured.out, captured.err) == want, (scheme, feature, context)
+                printed += want[1].count("\n")
+                refused += want[0] == 2
+    return printed, refused
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", sorted(INVENTORIES))
+@pytest.mark.parametrize("seed", range(2))
+def test_list_pairs_equals_the_full_path(capsys, tmp_path, seed, name, kind):
+    inv_text = INVENTORIES[name]
+    inv = parse_inventory(inv_text)
+    rng = random.Random(seed)
+    # dense enough for pairs of every feature, also of whole syllables
+    text = serialize_lexicon(Lexicon(
+        [LexEntry("w%d" % i, random_word(rng, inv, invalid_rate=0)) for i in range(1200)], inv))
+    inv_path, lex_path = tmp_path / "inv.inv", tmp_path / "lex.tsv"
+    inv_path.write_text(inv_text, encoding="utf-8")
+    lex_path.write_text(text, encoding="utf-8")
+    lex, diags = parse_lexicon(text, inv)
+    assert not diags
+    printed, refused = check_every_drilldown(
+        capsys, lex, inv, kind, ["--inventory", str(inv_path), "--lexicon", str(lex_path)])
+    assert printed and not refused
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_list_pairs_equals_the_full_path_when_frames_collide(capsys, monkeypatch, tmp_path,
+                                                              seed, kind):
+    # Multi-character symbols whose joins collide, so that frame
+    # drill-downs may be refused: under seed 3, the positions frame texts
+    # "nge_ph" (voice frames) and "ngen_" (a manner frame and a voice and
+    # manner one) are. The lexicon is handed in through the library, as
+    # greedy tokenizing would read equal text alike.
+    import ptrac.cli
+
+    inv, lex = make_case(seed, mode="multichar")
+    monkeypatch.setattr(ptrac.cli, "_load_inventory", lambda path: inv)
+    monkeypatch.setattr(ptrac.cli, "read_entries",
+                        lambda text, inv, diagnostics: iter(lex.entries))
+    lex_path = tmp_path / "lex.tsv"
+    lex_path.write_text("", encoding="utf-8")
+    _, refused = check_every_drilldown(capsys, lex, inv, kind,
+                                       ["--inventory", "unused", "--lexicon", str(lex_path)])
+    assert bool(refused) == (seed == 3 and kind == "positions")

@@ -304,6 +304,41 @@ def test_split_lines_matches_universal_newlines(text):
     assert list(split_lines(text)) == read.split("\n")
 
 
+@pytest.mark.parametrize("first", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("offset", range(-2, 3))
+def test_no_cut_inside_a_crlf(first, offset):
+    # Breaks of every kind around the first possible cut, so that the cut
+    # falls on, just before and just after each, and inside each "\r\n".
+    import io
+
+    from ptrac.inventory import _SLICE, split_lines
+
+    for second in ENDINGS:
+        text = "a" * (_SLICE + offset) + first + second + "b" + first + "c\r"
+        read = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8").read()
+        assert list(split_lines(text)) == read.split("\n")
+
+
+def test_split_lines_makes_no_copy_of_a_crlf_text():
+    # Line ends are made "\n" one slice at a time, so a CRLF text costs no
+    # second text; the whole text copied would peak above its own size.
+    # One slice's lines peak near 0.5 MB, whatever the text's length.
+    import tracemalloc
+    from collections import deque
+
+    from ptrac.inventory import _SLICE, split_lines
+
+    text = "".join("w%d\tband\r\n" % i for i in range(250_000))
+    assert len(text) > 48 * _SLICE
+    tracemalloc.start()
+    try:
+        deque(split_lines(text), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) / 4
+
+
 def _plain_parse_lexicon(text, inv):
     """The lexicon format stated plainly, one step per rule: skip blank
     and comment lines, split on tabs, require two non-empty fields,
