@@ -210,12 +210,14 @@ def _cmd_list_pairs(args):
     pairs = enumerate_minimal_sequence_pairs(table, inv, cfg)
     rows = list_pairs_for(pairs, args.feature, args.context, None, inv, cfg,
                           scheme=args.scheme, limit=args.limit, carriers=table.carriers)
+    lines = []
     for row in rows:
         p = row.pair
         wit = " ".join("(%s, %s)" % w for w in row.witnesses)
-        print("%s\t%s\t%s\t%s\t%d\t%s"
-              % ("".join(p.seq_a), "".join(p.seq_b), p.frame, p.feature,
-                 p.weight, wit))
+        lines.append("%s\t%s\t%s\t%s\t%d\t%s\n"
+                     % ("".join(p.seq_a), "".join(p.seq_b), p.frame, p.feature,
+                        p.weight, wit))
+    _emit("".join(lines), None)  # in one write, so a stdout that cannot take it gets no row
     return EXIT_OK
 
 
@@ -249,7 +251,7 @@ def _run(argv):
         return exc.code if exc.code is not None else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # or a stdout that cannot encode the text
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except PtracError as exc:

@@ -5,8 +5,8 @@ minimal sequence pairs among them, designate each pair's context (a frame
 with a hole at the differing position) and contrasting feature, and
 accumulate a feature-by-context matrix of weighted counts. `run_study`
 counts the matrix under the requested aggregation scheme as it finds the
-pairs, building no pair object; the pair list is built only when
-`StudyReport.pairs` is read.
+pairs, building no pair object; `enumerate_minimal_sequence_pairs` lists
+the pairs of a table.
 
 Two study kinds:
 
@@ -23,7 +23,6 @@ word types in the lexicon (duplicate words contribute separately).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import PtracError, StudyError, SyllabifyError
@@ -517,16 +516,9 @@ def _witnesses(pair, carriers, lookup, limit):
 
 @dataclass
 class StudyReport:
-    config: StudyConfig
     table: SequenceTable
-    inventory: Inventory
     matrix: ContrastMatrix  # under the scheme given to `run_study`
     excluded: list
-
-    @cached_property
-    def pairs(self):
-        """The study's minimal sequence pairs, enumerated on first read."""
-        return enumerate_minimal_sequence_pairs(self.table, self.inventory, self.config)
 
     @property
     def counts(self):
@@ -543,9 +535,9 @@ def run_study(entries, inv: Inventory, cfg: StudyConfig,
     """End-to-end composition: extract from `entries`, a Lexicon or the
     iterator of `read_entries` (see `extract_sequences`), then count the
     contrasts under the aggregation scheme `scheme`, which is checked
-    first, before any entry is read (see `scheme_key`); the pairs
-    themselves are enumerated only if `report.pairs` is read."""
+    first, before any entry is read (see `scheme_key`). No pair is kept:
+    `enumerate_minimal_sequence_pairs(report.table, inv, cfg)` lists them."""
     scheme_key(scheme, cfg.kind, inv)
     table, excluded = extract_sequences(entries, inv, cfg)
-    return StudyReport(config=cfg, table=table, inventory=inv,
-                       matrix=_count_table(table, inv, cfg, scheme), excluded=excluded)
+    return StudyReport(table=table, matrix=_count_table(table, inv, cfg, scheme),
+                       excluded=excluded)

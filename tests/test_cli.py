@@ -1,7 +1,9 @@
 """CLI contract tests: subcommands, exit codes, determinism."""
 
 import gc
+import io
 import itertools
+import sys
 
 import pytest
 
@@ -321,6 +323,32 @@ PAST_TWO_SLICES = "".join("wörd%d\tband%s" % (i, ("\n", "\r\n", "\r")[i % 3])
                           for i in range(10000)).encode("utf-8")
 
 
+def _big_lines():
+    """7,000 lines (about 79 KB with LF ends), more than one 64 KiB slice
+    of `split_lines`: malformed, untokenizable and unsyllabifiable lines
+    spread among words that form pairs."""
+    words = ["band", "pand", "sard", "sart", "tand", "sapt", "hosn", "hozn", "brak"]
+    lines = []
+    for i in range(7000):
+        if i % 7 == 3:
+            lines.append("bad line %d" % i)
+        elif i % 11 == 5:
+            lines.append("w%d\tba5d" % i)
+        elif i % 13 == 6:
+            lines.append("akt%d\takt" % i)
+        else:
+            lines.append("w%d\t%s" % (i, words[i % len(words)]))
+    return lines
+
+
+BIG_LINES = _big_lines()
+# The big lexicon with CRLF ends and a 0xff in line 6501: past the first
+# 64 KiB of characters once each "\r\n" is read as one break.
+BIG_CRLF_HEAD = "".join(line + "\r\n" for line in BIG_LINES[:6500]).encode("utf-8")
+BAD_PAST_ONE_SLICE = (BIG_CRLF_HEAD + b"w6500\tba\xffnd\r\n"
+                      + "\r\n".join(BIG_LINES[6501:]).encode("utf-8"))
+
+
 @pytest.mark.parametrize("command", ["analyze", "syllabify", "list-pairs"])
 @pytest.mark.parametrize("raw, line, offset", [
     (b"ab\tsa\xffk\n", 1, 5),
@@ -328,6 +356,7 @@ PAST_TWO_SLICES = "".join("wörd%d\tband%s" % (i, ("\n", "\r\n", "\r")[i % 3])
     (b"# x\r# y\n\n\xc3", 4, 9),  # a lone \r ends a line; a sequence cut short
     pytest.param(PAST_TWO_SLICES + b"ab\tsa\xffk\n", 10001, len(PAST_TWO_SLICES) + 5,
                  id="past-two-slices"),
+    pytest.param(BAD_PAST_ONE_SLICE, 6501, 80075, id="crlf-past-one-slice"),
 ])
 def test_non_utf8_lexicon_is_a_validation_error(capsys, inv_path, tmp_path, command,
                                                  raw, line, offset):
@@ -340,6 +369,28 @@ def test_non_utf8_lexicon_is_a_validation_error(capsys, inv_path, tmp_path, comm
     assert (code, out) == (2, "")
     assert err == "error: line %d: byte 0x%02x at offset %d of %s is not valid UTF-8\n" % (
         line, raw[offset], offset, bad)
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--study", "clusters"],
+    ["analyze", "--study", "positions", "--aggregate", "position", "--format", "json"],
+    ["list-pairs", "--study", "clusters", "--feature", "voice", "--context", "total",
+     "--scheme", "total"],
+])
+def test_line_ends_past_one_slice_print_alike(capsys, inv_path, tmp_path, command):
+    # LF, CRLF and lone-CR ends of the same lines give the same stdout and
+    # stderr, also where a slice of `split_lines` ends.
+    text = "".join(line + "\n" for line in BIG_LINES)
+    assert len(text) > 65536 and len(BIG_CRLF_HEAD) - 6500 > 65536
+    got = {}
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        lex = tmp_path / ("big-%s.tsv" % name)
+        lex.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        got[name] = run(capsys, command[:1] + ["--inventory", inv_path, "--lexicon", str(lex)]
+                        + command[1:])
+    code, out, err = got["lf"]
+    assert code == 0 and out and err
+    assert got["crlf"] == got["lf"] and got["cr"] == got["lf"]
 
 
 @pytest.mark.parametrize("command", ["pairs", "analyze"])
@@ -429,7 +480,8 @@ def test_stderr_text_and_order(capsys, inv_path, tmp_path, command, code, err):
 @pytest.mark.parametrize("lexicon, warnings", [
     (None, ""),
     (MIXED_LEXICON, MIXED_DIAGNOSTICS),
-], ids=["fixture", "warnings"])
+    ("akt\takt\n", ""),  # an entry the study would exclude
+], ids=["fixture", "warnings", "excluded"])
 def test_list_pairs_refuses_a_scheme_analyze_refuses(capsys, inv_path, lex_path, tmp_path,
                                                      lexicon, warnings):
     # The position scheme needs a positions study: the drill-down exits as
@@ -637,9 +689,33 @@ def _path_argvs(capsys, inv_path, lex_path):
                 argvs += [["list-pairs", *base, "--study", kind, "--scheme", scheme,
                            "--feature", feature, "--context", context, "--limit", "3"]
                           for feature in ("manner", "place", "voice")]
-    argvs.append(["list-pairs", *base, "--study", "positions", "--scheme", "position",
-                  "--feature", "voice", "--context", "C2"])
+    argvs += [["list-pairs", *base, "--study", "positions", "--scheme", "position",
+               "--feature", "voice", "--context", "C2"],
+              ["list-pairs", *base, "--study", "clusters", "--feature", "voice",
+               "--context", "_r"],
+              ["list-pairs", *base, "--study", "clusters", "--scheme", "following-class",
+               "--feature", "voice", "--context", "liquid"]]
     return argvs
+
+
+# A "?" glottal alias, a malformed line, an untokenizable line and an
+# unsyllabifiable word.
+LINES_LEXICON = "band\tband\nsab?\tsa?b\nbad line\nsard\tsard\nw5\tba5d\nakt\takt\nsart\tsart\n"
+
+# Commands that must print rows on a lexicon case, under either inventory;
+# on "lines" they must write warnings too.
+PRINTING = {
+    "fixture": [["analyze", "--study", "clusters"],
+                ["analyze", "--study", "positions", "--aggregate", "position", "--format", "json"],
+                ["analyze", "--study", "clusters", "--aggregate", "following-segment"],
+                ["list-pairs", "--study", "clusters", "--feature", "voice", "--context", "_r"],
+                ["list-pairs", "--study", "positions", "--scheme", "position",
+                 "--feature", "voice", "--context", "C2"]],
+    "lines": [["analyze", "--study", "clusters"],
+              ["analyze", "--study", "positions", "--aggregate", "position"],
+              ["list-pairs", "--study", "clusters", "--feature", "voice", "--context", "total",
+               "--scheme", "total"]],
+}
 
 
 def _lexicon_cases():
@@ -647,6 +723,7 @@ def _lexicon_cases():
     from ptrac import serialize_lexicon
 
     yield "fixture", data.persian_inventory_text(), data.voicing_fixture_text()
+    yield "lines", data.persian_inventory_text(), LINES_LEXICON
     # foreign characters, a "?" (no glottal stop in these inventories) and
     # malformed lines, so the tokenizer's diagnostics are compared too
     extra = "# comment\nbad line\nq\t?a\nz\tab5\n"
@@ -659,7 +736,7 @@ def _lexicon_cases():
 def test_one_character_paths_print_what_the_general_paths_print(capsys, tmp_path, case):
     from ptrac import parse_inventory
 
-    _, inv_text, lex_text = case
+    name, inv_text, lex_text = case
     one, multi = tmp_path / "one.inv", tmp_path / "multi.inv"
     one.write_text(inv_text, encoding="utf-8")
     multi.write_text(with_multichar_vowel(inv_text), encoding="utf-8")
@@ -677,3 +754,42 @@ def test_one_character_paths_print_what_the_general_paths_print(capsys, tmp_path
             listed.append(want[1])
     assert outcomes == {0, 2}  # clusters with the position scheme is refused
     assert any(listed)
+    for command in PRINTING.get(name, ()):
+        argv = command[:1] + ["--inventory", str(one), "--lexicon", str(lex)] + command[1:]
+        want = run(capsys, argv)
+        assert want[0] == 0 and want[1] and (want[2] or name != "lines"), argv
+        assert run(capsys, [str(multi) if a == str(one) else a for a in argv]) == want, argv
+
+
+def test_every_kind_of_line_is_fatal_under_strict(capsys, inv_path, tmp_path):
+    lex = tmp_path / "lines.tsv"
+    lex.write_text(LINES_LEXICON, encoding="utf-8")
+    code, out, err = run(capsys, ["analyze", "--strict", "--study", "clusters",
+                                  "--inventory", inv_path, "--lexicon", str(lex)])
+    assert (code, out) == (2, "")
+    assert err == ("error: 2 malformed line(s): "
+                   "line 3: expected 'orthography<TAB>transcription'; "
+                   "line 5: no inventory symbol matches '5' at offset 2\n")
+
+
+@pytest.mark.parametrize("command, shown", [
+    (["list-pairs", "--study", "clusters", "--feature", "voice", "--context", "_n"],
+     "(hösn, hözn)"),
+    (["analyze", "--study", "positions"], "_ŋŋnd"),
+], ids=["list-pairs", "analyze"])
+def test_stdout_that_cannot_encode_the_output_is_an_io_error(capsys, monkeypatch, tmp_path,
+                                                            command, shown):
+    inv = tmp_path / "multi.inv"
+    inv.write_text(with_multichar_vowel(data.persian_inventory_text()), encoding="utf-8")
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("hösn\thosn\nhözn\thozn\nbŋŋnd\tbŋŋnd\npŋŋnd\tpŋŋnd\n", encoding="utf-8")
+    argv = command[:1] + ["--inventory", str(inv), "--lexicon", str(lex)] + command[1:]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and shown in out and err == ""
+    ascii_stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", ascii_stdout)
+    code, _, err = run(capsys, argv)
+    ascii_stdout.flush()
+    assert (code, ascii_stdout.buffer.getvalue()) == (1, b"")
+    assert err.startswith("error: 'ascii' codec can't encode character")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -72,7 +72,9 @@ def test_minimal_sequence_pair_is_a_named_tuple(fixture_lexicon, persian):
     assert hash(p) == hash((tuple("band"), tuple("pand"), 0, "voice", 2))
     assert p.frame == "_and"
     assert MinimalSequencePair(tuple("sd"), tuple("st"), 1, "voice", 1).frame == "s_"
-    pairs = run_study(fixture_lexicon, persian, StudyConfig(orientation="ordered")).pairs
+    cfg = StudyConfig(orientation="ordered")
+    report = run_study(fixture_lexicon, persian, cfg)
+    pairs = enumerate_minimal_sequence_pairs(report.table, persian, cfg)
     by_key = sorted(pairs, key=lambda q: (q.seq_a, q.seq_b, q.position))
     assert sorted(pairs) == by_key == pairs
 
@@ -83,10 +85,12 @@ def test_non_minimal_segments_no_pair(persian):
 
 
 def test_fixture_voice_pairs(fixture_lexicon, persian):
-    report = run_study(fixture_lexicon, persian, StudyConfig())
+    cfg = StudyConfig()
+    report = run_study(fixture_lexicon, persian, cfg)
+    pairs = enumerate_minimal_sequence_pairs(report.table, persian, cfg)
     voice = {
         ("".join(p.seq_a), "".join(p.seq_b), p.frame)
-        for p in report.pairs
+        for p in pairs
         if p.feature == "voice"
     }
     assert voice == {
@@ -95,7 +99,7 @@ def test_fixture_voice_pairs(fixture_lexicon, persian):
     }
     manner_r = {
         ("".join(p.seq_a), "".join(p.seq_b))
-        for p in report.pairs
+        for p in pairs
         if p.feature == "manner" and p.frame == "_r"
     }
     assert manner_r == {("sr", "tr"), ("Sr", "tr"), ("dr", "zr")}
@@ -188,9 +192,11 @@ def test_three_word_position_study(persian):
         ],
         persian,
     )
-    report = run_study(lex, persian, StudyConfig(kind="positions"))
+    cfg = StudyConfig(kind="positions")
+    report = run_study(lex, persian, cfg)
     got = {
-        ("".join(p.seq_a), "".join(p.seq_b)): p.feature for p in report.pairs
+        ("".join(p.seq_a), "".join(p.seq_b)): p.feature
+        for p in enumerate_minimal_sequence_pairs(report.table, persian, cfg)
     }
     # d/p differ in place and voice, so (dand, pand) is absent
     assert got == {("band", "pand"): "voice", ("band", "dand"): "place"}
@@ -199,8 +205,9 @@ def test_three_word_position_study(persian):
 
 
 def test_frame_consistency(fixture_lexicon, persian):
-    report = run_study(fixture_lexicon, persian, StudyConfig())
-    for p in report.pairs:
+    cfg = StudyConfig()
+    report = run_study(fixture_lexicon, persian, cfg)
+    for p in enumerate_minimal_sequence_pairs(report.table, persian, cfg):
         assert p.frame == "".join(
             "_" if i == p.position else s for i, s in enumerate(p.seq_a)
         )
@@ -210,13 +217,17 @@ def test_frame_consistency(fixture_lexicon, persian):
 
 
 def test_empty_lexicon_gives_empty_report(persian):
-    report = run_study(Lexicon([], persian), persian, StudyConfig())
-    assert len(report.table) == 0 and report.pairs == [] and not report.matrix.cells
+    cfg = StudyConfig()
+    report = run_study(Lexicon([], persian), persian, cfg)
+    pairs = enumerate_minimal_sequence_pairs(report.table, persian, cfg)
+    assert len(report.table) == 0 and pairs == [] and not report.matrix.cells
 
 
 def test_feature_filter(fixture_lexicon, persian):
-    report = run_study(fixture_lexicon, persian, StudyConfig(feature="voice"))
-    assert all(p.feature == "voice" for p in report.pairs)
+    cfg = StudyConfig(feature="voice")
+    report = run_study(fixture_lexicon, persian, cfg)
+    pairs = enumerate_minimal_sequence_pairs(report.table, persian, cfg)
+    assert all(p.feature == "voice" for p in pairs)
     assert report.matrix.features == ("voice",)
 
 
@@ -235,34 +246,37 @@ def test_monotone_under_growth(persian):
 def test_list_pairs_drilldown(fixture_lexicon, persian):
     cfg = StudyConfig()
     report = run_study(fixture_lexicon, persian, cfg)
-    rows = list_pairs_for(report.pairs, "voice", "_n", fixture_lexicon, persian, cfg)
+    pairs = enumerate_minimal_sequence_pairs(report.table, persian, cfg)
+    rows = list_pairs_for(pairs, "voice", "_n", fixture_lexicon, persian, cfg)
     assert len(rows) == 1
     row = rows[0]
     assert "".join(row.pair.seq_a) == "sn" and "".join(row.pair.seq_b) == "zn"
     assert row.pair.weight == 1
     assert row.witnesses == (("hosn", "hozn"),)
 
-    rows_r = list_pairs_for(report.pairs, "voice", "_r", fixture_lexicon, persian, cfg)
+    rows_r = list_pairs_for(pairs, "voice", "_r", fixture_lexicon, persian, cfg)
     assert len(rows_r) == 3
     all_wit = {w for r in rows_r for w in r.witnesses}
     assert ("satr", "sadr") in all_wit or ("sadr", "satr") in all_wit
 
-    assert list_pairs_for(report.pairs, "voice", "_b", fixture_lexicon, persian, cfg) == []
+    assert list_pairs_for(pairs, "voice", "_b", fixture_lexicon, persian, cfg) == []
 
 
 def test_list_pairs_rejects_lexicon_of_another_inventory(fixture_lexicon, persian, mini):
     cfg = StudyConfig()
     report = run_study(fixture_lexicon, persian, cfg)
+    pairs = enumerate_minimal_sequence_pairs(report.table, persian, cfg)
     with pytest.raises(StudyError, match="different inventory"):
-        list_pairs_for(report.pairs, "voice", "_n", fixture_lexicon, mini, cfg)
+        list_pairs_for(pairs, "voice", "_n", fixture_lexicon, mini, cfg)
 
 
 @pytest.mark.parametrize("limit", [0, -1])
 def test_list_pairs_rejects_limit_below_one(fixture_lexicon, persian, limit):
     cfg = StudyConfig()
     report = run_study(fixture_lexicon, persian, cfg)
+    pairs = enumerate_minimal_sequence_pairs(report.table, persian, cfg)
     with pytest.raises(StudyError, match="limit"):
-        list_pairs_for(report.pairs, "voice", "_n", fixture_lexicon, persian, cfg,
+        list_pairs_for(pairs, "voice", "_n", fixture_lexicon, persian, cfg,
                        limit=limit)
 
 
@@ -270,12 +284,13 @@ def test_list_pairs_rejects_context_text_of_two_frames(join_alike):
     inv, lex = join_alike
     cfg = StudyConfig(kind="positions")
     report = run_study(lex, inv, cfg)
+    pairs = enumerate_minimal_sequence_pairs(report.table, inv, cfg)
     with pytest.raises(StudyError, match=r"both render as 'tsak_'"):
-        list_pairs_for(report.pairs, "voice", "tsak_", lex, inv, cfg)
+        list_pairs_for(pairs, "voice", "tsak_", lex, inv, cfg)
     # the frames collide even for a feature none of their pairs has
     with pytest.raises(StudyError, match=r"both render as 'tsak_'"):
-        list_pairs_for(report.pairs, "manner", "tsak_", lex, inv, cfg)
-    rows = list_pairs_for(report.pairs, "voice", "C3", lex, inv, cfg, scheme="position")
+        list_pairs_for(pairs, "manner", "tsak_", lex, inv, cfg)
+    rows = list_pairs_for(pairs, "voice", "C3", lex, inv, cfg, scheme="position")
     assert [(r.pair.seq_a, r.witnesses) for r in rows] == [
         (("t", "sa", "k", "g"), (("w0", "w2"),)),
         (("ts", "a", "k", "g"), (("w3", "w1"),)),

@@ -1,6 +1,6 @@
 """The matrix `run_study` counts straight from the sequence table, held to
-`count_contrasts` of `enumerate_minimal_sequence_pairs`, and the pair list
-`StudyReport.pairs` builds only when it is read."""
+`count_contrasts` of `enumerate_minimal_sequence_pairs`; `analyze` lists
+no pair, and `list-pairs` lists them once."""
 
 import itertools
 
@@ -81,19 +81,13 @@ def enumerate_calls(monkeypatch):
     return calls
 
 
-def test_pairs_computed_on_first_read(persian, fixture_lexicon, enumerate_calls):
-    report = run_study(fixture_lexicon, persian, StudyConfig())
-    assert report.counts["pairs"] > 0 and enumerate_calls == []
-    first = report.pairs
-    assert len(enumerate_calls) == 1
-    assert report.pairs is first and len(enumerate_calls) == 1
-
-
 @pytest.mark.parametrize("feature", [None, "manner", "place", "voice"])
 @pytest.mark.parametrize("kind", ["clusters", "positions"])
 def test_counts_pairs_equals_pair_list(persian, fixture_lexicon, kind, feature):
-    report = run_study(fixture_lexicon, persian, StudyConfig(kind=kind, feature=feature))
-    assert report.counts["pairs"] == len(report.pairs)
+    cfg = StudyConfig(kind=kind, feature=feature)
+    report = run_study(fixture_lexicon, persian, cfg)
+    assert report.counts["pairs"] == len(enumerate_minimal_sequence_pairs(report.table,
+                                                                          persian, cfg))
 
 
 def test_analyze_enumerates_no_pairs(capsys, enumerate_calls):

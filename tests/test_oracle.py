@@ -5,7 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from ptrac import Inventory, Lexicon, LexEntry, StudyConfig, StudyError, run_study
+from ptrac import (Inventory, Lexicon, LexEntry, StudyConfig, StudyError,
+                   enumerate_minimal_sequence_pairs, run_study)
 from ptrac.inventory import FeatureSystem, Phoneme
 from ptrac.oracle import oracle_matrix
 from randlex import hostile_case, make_case
@@ -112,7 +113,8 @@ def test_multichar_frames_that_join_alike_stay_apart():
     lex = Lexicon([LexEntry("w%d" % i, w) for i, w in enumerate(words)], inv)
     cfg = StudyConfig(kind="positions")
     report = run_study(lex, inv, cfg)
-    assert {(p.seq_a, p.seq_b) for p in report.pairs} == {
+    pairs = enumerate_minimal_sequence_pairs(report.table, inv, cfg)
+    assert {(p.seq_a, p.seq_b) for p in pairs} == {
         (("t", "sa", "k", "g"), ("t", "sa", "k", "k")),
         (("ts", "a", "k", "g"), ("ts", "a", "k", "k")),
     }

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 import ptrac.core
 from randlex import hostile_case, make_case
 from test_walk import wide_case
-from ptrac import StudyConfig, StudyError, aggregate, run_study
+from ptrac import (StudyConfig, StudyError, aggregate, enumerate_minimal_sequence_pairs,
+                   run_study)
 from ptrac.core import (KINDS, ORIENTATIONS, SCHEMES, WEIGHTINGS, Cell, SequenceTable,
                         _count_table)
 from ptrac.inventory import FEATURES
@@ -115,7 +116,8 @@ def test_counts_pairs_include_pairs_without_a_cell(persian, fixture_lexicon, ori
     cfg = StudyConfig(kind="clusters", orientation=orientation)
     report = run_study(fixture_lexicon, persian, cfg, scheme="following-segment")
     in_cells = sum(c.pairs for c in report.matrix.cells.values())
-    assert in_cells < report.counts["pairs"] == len(report.pairs)
+    pairs = enumerate_minimal_sequence_pairs(report.table, persian, cfg)
+    assert in_cells < report.counts["pairs"] == len(pairs)
 
 
 @pytest.mark.parametrize("kind, scheme, message", [

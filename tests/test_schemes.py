@@ -8,7 +8,8 @@ import itertools
 import pytest
 
 from randlex import make_case
-from ptrac import StudyConfig, StudyError, aggregate, extract_sequences, list_pairs_for, run_study
+from ptrac import (StudyConfig, StudyError, aggregate, enumerate_minimal_sequence_pairs,
+                   extract_sequences, list_pairs_for, run_study)
 from ptrac.core import KINDS, ORIENTATIONS, SCHEMES, context_text
 from ptrac.inventory import FEATURES
 
@@ -21,10 +22,11 @@ from ptrac.inventory import FEATURES
 def test_aggregate_and_drilldown_refuse_alike(fixture_lexicon, persian, kind, scheme, message):
     cfg = StudyConfig(kind=kind)
     report = run_study(fixture_lexicon, persian, cfg)
+    pairs = enumerate_minimal_sequence_pairs(report.table, persian, cfg)
     with pytest.raises(StudyError) as agg:
         aggregate(report.matrix, scheme, inv=persian)
     with pytest.raises(StudyError) as drill:
-        list_pairs_for(report.pairs, "voice", "C1", fixture_lexicon, persian, cfg,
+        list_pairs_for(pairs, "voice", "C1", fixture_lexicon, persian, cfg,
                        scheme=scheme)
     assert str(agg.value) == str(drill.value) == message
 
@@ -38,6 +40,7 @@ def assert_drilldown_equals_matrix(lex, inv):
     for kind, orientation in itertools.product(KINDS, ORIENTATIONS):
         cfg = StudyConfig(kind=kind, orientation=orientation)
         report = run_study(lex, inv, cfg)
+        pairs = enumerate_minimal_sequence_pairs(report.table, inv, cfg)
         index = extract_sequences(lex, inv, cfg, carriers=True)[0].carriers
         for scheme in SCHEMES:
             if scheme == "position" and kind != "positions":
@@ -48,7 +51,7 @@ def assert_drilldown_equals_matrix(lex, inv):
                 by_text.setdefault(context_text(ctx), []).append(ctx)
             for text, keys in by_text.items():
                 for feature in FEATURES:
-                    args = (report.pairs, feature, text, lex, inv, cfg)
+                    args = (pairs, feature, text, lex, inv, cfg)
                     kwargs = {"scheme": scheme, "limit": 1, "carriers": index}
                     if len(keys) > 1:
                         with pytest.raises(StudyError, match="both render as"):

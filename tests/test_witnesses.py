@@ -53,7 +53,7 @@ def check_all_pairs(lex, inv, cfg, limits):
     """Compare every pair's row, under the total scheme, for each feature
     and limit, with and without the carrier index of `extract_sequences`;
     return the reference rows."""
-    pairs = run_study(lex, inv, cfg).pairs
+    pairs = enumerate_minimal_sequence_pairs(run_study(lex, inv, cfg).table, inv, cfg)
     words_by_seq = carriers(lex, inv, cfg.kind)
     index = extract_sequences(lex, inv, cfg, carriers=True)[0].carriers
     checked = []
@@ -147,7 +147,7 @@ def drill_lexicon(persian, words):
 def test_witness_order_duplicates_and_both_swap_directions(persian, limit):
     lex = drill_lexicon(persian, DRILL)
     cfg = StudyConfig()
-    pairs = run_study(lex, persian, cfg).pairs
+    pairs = enumerate_minimal_sequence_pairs(run_study(lex, persian, cfg).table, persian, cfg)
     rows = list_pairs_for(pairs, "voice", "_n", lex, persian, cfg, limit=limit)
     assert [("".join(r.pair.seq_a), "".join(r.pair.seq_b)) for r in rows] == [("sn", "zn")]
     assert rows[0].witnesses == DRILL_WITNESSES[:limit]
@@ -180,7 +180,7 @@ def test_witness_fallback_without_aligned_pair(persian, limit):
     lex = drill_lexicon(persian, [("basn", "basn"), ("tazn", "tazn"),
                                   ("kasn", "kasn"), ("dazn", "dazn")])
     cfg = StudyConfig()
-    pairs = run_study(lex, persian, cfg).pairs
+    pairs = enumerate_minimal_sequence_pairs(run_study(lex, persian, cfg).table, persian, cfg)
     rows = list_pairs_for(pairs, "voice", "_n", lex, persian, cfg, limit=limit)
     assert [r.witnesses for r in rows] == [(("basn", "tazn"),)]
     check_all_pairs(lex, persian, cfg, [limit])
