@@ -106,7 +106,7 @@ def _load_inventory(path):
 def _warn(lines):
     """Write a command's warnings to stderr in one call."""
     if lines:
-        sys.stderr.write("".join("warning: %s\n" % line for line in lines))
+        sys.stderr.write("".join("warning: %s\n" % (line,) for line in lines))
 
 
 def _diagnose(diags, strict=False, rest=()):
@@ -148,21 +148,22 @@ def _cmd_syllabify(args):
             except PtracError as exc:
                 print("error: %s: %s" % (w, exc), file=sys.stderr)
                 failures += 1
+    lines = []
     for label, seq in items:
         try:
-            print(format_syllables(syllabify(seq, inv)))
+            lines.append(format_syllables(syllabify(seq, inv)) + "\n")
         except PtracError as exc:
             print("error: %s: %s" % (label, exc), file=sys.stderr)
             failures += 1
+    _emit("".join(lines), None)  # in one write, so a stdout that cannot take it gets no line
     return EXIT_VALIDATION if failures else EXIT_OK
 
 
 def _cmd_pairs(args):
     inv = _load_inventory(args.inventory)
     features = (args.feature,) if args.feature else FEATURES
-    for feature in features:
-        for a, b in featural_pairs(inv, feature, args.orientation):
-            print("%s %s %s" % (a, b, feature))
+    _emit("".join("%s %s %s\n" % (a, b, feature) for feature in features
+                  for a, b in featural_pairs(inv, feature, args.orientation)), None)
     return EXIT_OK
 
 

@@ -22,10 +22,10 @@ word types in the lexicon (duplicate words contribute separately).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import PtracError, StudyError, SyllabifyError
+from .errors import StudyError, SyllabifyError
 from .inventory import FEATURES, HOLE, Inventory
 from .lexicon import LexEntry, Lexicon
 from .syllabifier import syllable_spans, syllabify
@@ -37,42 +37,71 @@ SCHEMES = ("frame", "following-segment", "following-class", "position", "total")
 FORMATS = ("csv", "json", "markdown", "svg")  # the output formats of `report.render`
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    kind: str = "clusters"
-    weighting: str = "type-frequency"
-    orientation: str = "unordered"
-    feature: str = None  # optional filter
+class StudyConfig(namedtuple("StudyConfig", "kind weighting orientation feature")):
+    """A study's settings; `feature`, when given, keeps that feature alone.
+    A named tuple whose every field is checked at construction."""
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise StudyError("unknown study kind %r" % self.kind)
-        if self.weighting not in WEIGHTINGS:
-            raise StudyError("unknown weighting %r" % self.weighting)
-        if self.orientation not in ORIENTATIONS:
-            raise StudyError("unknown orientation %r" % self.orientation)
-        if self.feature is not None and self.feature not in FEATURES:
-            raise StudyError("unknown feature %r" % self.feature)
+    __slots__ = ()
+
+    def __new__(cls, kind="clusters", weighting="type-frequency",
+                orientation="unordered", feature=None):
+        if kind not in KINDS:
+            raise StudyError("unknown study kind %r" % kind)
+        if weighting not in WEIGHTINGS:
+            raise StudyError("unknown weighting %r" % weighting)
+        if orientation not in ORIENTATIONS:
+            raise StudyError("unknown orientation %r" % orientation)
+        if feature is not None and feature not in FEATURES:
+            raise StudyError("unknown feature %r" % feature)
+        return super().__new__(cls, kind, weighting, orientation, feature)
+
+    @classmethod
+    def _make(cls, iterable):  # so `_replace` checks its fields too
+        return cls(*iterable)
 
 
-@dataclass
-class SequenceTable:
+class _Record:
+    """Base of the mutable records: the fields are the `__slots__`, in
+    order. Records of one class are equal when their fields are, and
+    unhashable, as a field may change."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__slots__
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+
+class SequenceTable(_Record):
     """Map from segment sequence to its type frequency, and, when
     extraction was asked for it, to its carrier entries."""
 
-    freqs: dict = field(default_factory=dict)  # tuple -> occurrence count
-    # tuple -> [LexEntry], in lexicon order, one item per occurrence
-    carriers: dict = None
+    __slots__ = ("freqs", "carriers")
+
+    def __init__(self, freqs=None, carriers=None):
+        self.freqs = {} if freqs is None else freqs  # tuple -> occurrence count
+        # tuple -> [LexEntry], in lexicon order, one item per occurrence
+        self.carriers = carriers
 
     def __len__(self):
         return len(self.freqs)
 
 
-@dataclass(frozen=True)
-class ExcludedEntry:
+class ExcludedEntry(NamedTuple):
+    """An entry `syllabify` rejects: its message and its reason code (see
+    `SyllabifyError`)."""
+
     index: int
     orthography: str
     reason: str
+    code: str
 
 
 class MinimalSequencePair(NamedTuple):
@@ -88,24 +117,29 @@ class MinimalSequencePair(NamedTuple):
         return context_text(frame_of(self.seq_a, self.position))
 
 
-@dataclass
-class Cell:
-    weighted: int = 0
-    pairs: int = 0
+class Cell(_Record):
+    __slots__ = ("weighted", "pairs")
+
+    def __init__(self, weighted=0, pairs=0):
+        self.weighted = weighted
+        self.pairs = pairs
 
 
-@dataclass
-class ContrastMatrix:
+class ContrastMatrix(_Record):
     """Grid of contrast counts indexed by (context key, feature); the keys
     are those of `scheme_key`, frame tuples under the frame scheme."""
 
-    cells: dict = field(default_factory=dict)  # (context, feature) -> Cell
-    features: tuple = FEATURES
-    scheme: str = "frame"
-    kind: str = "clusters"
-    # every pair the count of `run_study` found, also those the scheme gives
-    # no cell; None on a matrix from `count_contrasts` or `aggregate`
-    pairs_found: int = None
+    __slots__ = ("cells", "features", "scheme", "kind", "pairs_found")
+
+    def __init__(self, cells=None, features=FEATURES, scheme="frame", kind="clusters",
+                 pairs_found=None):
+        self.cells = {} if cells is None else cells  # (context, feature) -> Cell
+        self.features = features
+        self.scheme = scheme
+        self.kind = kind
+        # every pair the count of `run_study` found, also those the scheme
+        # gives no cell; None on a matrix from `count_contrasts` or `aggregate`
+        self.pairs_found = pairs_found
 
     def contexts(self):
         """Context keys in the order of their rendered text."""
@@ -236,8 +270,8 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
         if plan is None:
             try:
                 syllabify(t, inv)  # raises, naming the reason
-            except PtracError as exc:
-                excluded.append(ExcludedEntry(ix, entry[0], str(exc)))
+            except SyllabifyError as exc:
+                excluded.append(ExcludedEntry(ix, entry[0], str(exc), exc.reason))
                 continue
         if index is not None and plan and entry.__class__ is not LexEntry:
             entry = tuple.__new__(LexEntry, (entry[0], tuple(t)))
@@ -430,8 +464,7 @@ def aggregate(matrix: ContrastMatrix, scheme: str, inv: Inventory = None) -> Con
     return out
 
 
-@dataclass(frozen=True)
-class PairReportRow:
+class PairReportRow(NamedTuple):
     pair: MinimalSequencePair
     witnesses: tuple  # ((orth_a, orth_b), ...)
 
@@ -514,8 +547,7 @@ def _witnesses(pair, carriers, lookup, limit):
     return ()
 
 
-@dataclass
-class StudyReport:
+class StudyReport(NamedTuple):
     table: SequenceTable
     matrix: ContrastMatrix  # under the scheme given to `run_study`
     excluded: list

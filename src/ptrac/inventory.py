@@ -15,8 +15,9 @@ Vowels never carry features and never participate in the pair relation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import chain
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import InventoryError
 
@@ -51,19 +52,20 @@ def normalize_symbol(symbol: str) -> str:
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
-@dataclass(frozen=True)
-class Phoneme:
+class Phoneme(NamedTuple):
     symbol: str
     is_vowel: bool
 
 
-@dataclass(frozen=True)
-class FeatureSystem:
+_EMPTY = MappingProxyType({})  # a default no caller can add to
+
+
+class FeatureSystem(NamedTuple):
     mode: str  # "pair-list" | "vector"
     # pair-list mode: frozenset({a, b}) -> feature name
-    pair_relation: dict = field(default_factory=dict)
+    pair_relation: dict = _EMPTY
     # vector mode: symbol -> (manner, place, voice) labels
-    bundles: dict = field(default_factory=dict)
+    bundles: dict = _EMPTY
 
 
 class Inventory:

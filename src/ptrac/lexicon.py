@@ -8,7 +8,6 @@ Counts downstream are type frequencies, so no numeric column is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -21,8 +20,7 @@ class LexEntry(NamedTuple):
     transcription: tuple  # tuple of phoneme symbols
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     reason: str
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import __version__
 from .core import (FORMATS, SCHEMES, ContrastMatrix, aggregate, context_text,
@@ -22,16 +22,22 @@ MAX_CHART_COLUMNS = 64
 FEATURE_COLORS = {"manner": "#4e79a7", "place": "#f28e2b", "voice": "#e15759"}
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    format: str = "csv"
-    scheme: str = "frame"
+class RenderSpec(namedtuple("RenderSpec", "format scheme")):
+    """What `render` writes: the output format and the aggregation scheme.
+    A named tuple whose every field is checked at construction."""
 
-    def __post_init__(self):
-        if self.format not in FORMATS:
-            raise StudyError("unknown format %r" % self.format)
-        if self.scheme not in SCHEMES:
-            raise StudyError("unknown aggregation scheme %r" % self.scheme)
+    __slots__ = ()
+
+    def __new__(cls, format="csv", scheme="frame"):
+        if format not in FORMATS:
+            raise StudyError("unknown format %r" % format)
+        if scheme not in SCHEMES:
+            raise StudyError("unknown aggregation scheme %r" % scheme)
+        return super().__new__(cls, format, scheme)
+
+    @classmethod
+    def _make(cls, iterable):  # so `_replace` checks its fields too
+        return cls(*iterable)
 
 
 def _aggregated(matrix, spec, inv=None):

@@ -772,20 +772,29 @@ def test_every_kind_of_line_is_fatal_under_strict(capsys, inv_path, tmp_path):
                    "line 5: no inventory symbol matches '5' at offset 2\n")
 
 
-@pytest.mark.parametrize("command, shown", [
-    (["list-pairs", "--study", "clusters", "--feature", "voice", "--context", "_n"],
+# Each command, whether it reads the lexicon, and a text it prints that ASCII
+# cannot encode; ASCII lines come before it, and must not be written either.
+@pytest.mark.parametrize("command, lexicon, shown", [
+    (["list-pairs", "--study", "clusters", "--feature", "voice", "--context", "_n"], True,
      "(hösn, hözn)"),
-    (["analyze", "--study", "positions"], "_ŋŋnd"),
-], ids=["list-pairs", "analyze"])
+    (["analyze", "--study", "positions"], True, "_ŋŋnd"),
+    (["syllabify"], True, "bŋŋnd"),
+    (["syllabify", "band", "bŋŋnd"], False, "bŋŋnd"),
+    (["pairs"], False, "z ʒ place"),
+], ids=["list-pairs", "analyze", "syllabify-lexicon", "syllabify-words", "pairs"])
 def test_stdout_that_cannot_encode_the_output_is_an_io_error(capsys, monkeypatch, tmp_path,
-                                                            command, shown):
+                                                            command, lexicon, shown):
     inv = tmp_path / "multi.inv"
-    inv.write_text(with_multichar_vowel(data.persian_inventory_text()), encoding="utf-8")
+    inv.write_text(with_multichar_vowel(data.persian_inventory_text())
+                   .replace("[phonemes]\n", "[phonemes]\nʒ consonant\n", 1)
+                   .replace("[pairs]\n", "[pairs]\nʒ z place\n", 1), encoding="utf-8")
     lex = tmp_path / "lex.tsv"
     lex.write_text("hösn\thosn\nhözn\thozn\nbŋŋnd\tbŋŋnd\npŋŋnd\tpŋŋnd\n", encoding="utf-8")
-    argv = command[:1] + ["--inventory", str(inv), "--lexicon", str(lex)] + command[1:]
+    argv = command[:1] + ["--inventory", str(inv)] + command[1:]
+    if lexicon:
+        argv[3:3] = ["--lexicon", str(lex)]
     code, out, err = run(capsys, argv)
-    assert code == 0 and shown in out and err == ""
+    assert code == 0 and out.find(shown) > 0 and err == ""
     ascii_stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
     monkeypatch.setattr(sys, "stdout", ascii_stdout)
     code, _, err = run(capsys, argv)

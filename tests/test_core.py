@@ -7,12 +7,14 @@ from ptrac import (
     LexEntry,
     StudyConfig,
     StudyError,
+    SyllabifyError,
     aggregate,
     count_contrasts,
     enumerate_minimal_sequence_pairs,
     extract_sequences,
     list_pairs_for,
     run_study,
+    syllabify,
 )
 from ptrac.core import MinimalSequencePair, SequenceTable
 
@@ -55,6 +57,27 @@ def test_unsyllabifiable_entry_excluded(persian):
     table, excluded = extract_sequences(lex, persian, StudyConfig())
     assert len(excluded) == 1 and excluded[0].orthography == "ab"
     assert joined(table) == {"nd": 1}
+
+
+# One word of each shape `syllabify` rejects, and the reason code it gives.
+REJECTED = {"bd": "no-nucleus", "ab": "initial-vowel", "bda": "onset-cluster",
+            "baa": "vowel-hiatus", "bandt": "coda-too-long"}
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["lexicon", "read_entries"])
+def test_each_rejected_shape_keeps_its_reason_code(persian, streamed):
+    from ptrac.lexicon import read_entries
+
+    text = "".join("%s\t%s\n" % (w, w) for w in ["band", *REJECTED])
+    entries = (read_entries(text, persian, []) if streamed
+               else Lexicon([LexEntry(w, tuple(w)) for w in ["band", *REJECTED]], persian))
+    _, excluded = extract_sequences(entries, persian, StudyConfig())
+    assert [(ex.index, ex.orthography, ex.code) for ex in excluded] == [
+        (i, w, code) for i, (w, code) in enumerate(REJECTED.items(), start=1)]
+    for ex in excluded:
+        with pytest.raises(SyllabifyError) as info:
+            syllabify(tuple(ex.orthography), persian)
+        assert ex.reason == str(info.value)  # the message, as stderr shows it
 
 
 def test_single_difference_pair(persian):

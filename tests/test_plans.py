@@ -31,7 +31,7 @@ def reference_extract(lex, inv, kind):
         try:
             seqs = reference_entry_sequences(entry, inv, kind)
         except PtracError as exc:
-            excluded.append(ExcludedEntry(ix, entry.orthography, str(exc)))
+            excluded.append(ExcludedEntry(ix, entry.orthography, str(exc), exc.reason))
             continue
         for seq in seqs:
             freqs[seq] = freqs.get(seq, 0) + 1
