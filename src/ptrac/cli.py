@@ -13,23 +13,12 @@ import sys
 from collections import deque
 
 from . import __version__
-from .core import (
-    FORMATS,
-    KINDS,
-    ORIENTATIONS,
-    SCHEMES,
-    StudyConfig,
-    WEIGHTINGS,
-    enumerate_minimal_sequence_pairs,
-    extract_sequences,
-    list_pairs_for,
-    run_study,
-    scheme_key,
-)
 from .errors import InventoryError, LexiconError, PtracError, StudyError
-from .inventory import FEATURES, parse_inventory, featural_pairs, split_lines
-from .lexicon import read_entries, strict_error, tokenize_transcription
-from .syllabifier import format_syllables, syllabify
+from .inventory import (FEATURES, FORMATS, KINDS, ORIENTATIONS, SCHEMES, WEIGHTINGS,
+                        featural_pairs, parse_inventory, split_lines)
+
+# Each command imports the rest of the package it runs: `pairs` needs only
+# the inventory, and `syllabify` no engine.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,6 +102,8 @@ def _diagnose(diags, strict=False, rest=()):
     """Warn of the lexicon's diagnostics, once the lines left in `rest`
     (an iterator of `read_entries`) are read; under `strict`, raise them
     instead, as `parse_lexicon` does."""
+    from .lexicon import strict_error
+
     deque(rest, maxlen=0)
     if strict and diags:
         raise strict_error(diags)
@@ -128,6 +119,9 @@ def _emit(text, out):
 
 
 def _cmd_syllabify(args):
+    from .lexicon import read_entries, tokenize_transcription
+    from .syllabifier import format_syllables, syllabify
+
     inv = _load_inventory(args.inventory)
     failures = 0
     if args.words and args.lexicon is not None:
@@ -168,6 +162,8 @@ def _cmd_pairs(args):
 
 
 def _cmd_analyze(args):
+    from .core import StudyConfig, run_study
+    from .lexicon import read_entries
     from .report import RenderSpec, render  # loads csv and json, which no other command needs
 
     inv = _load_inventory(args.inventory)
@@ -191,6 +187,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_list_pairs(args):
+    from .core import (StudyConfig, enumerate_minimal_sequence_pairs, extract_sequences,
+                       list_pairs_for, scheme_key)
+    from .lexicon import read_entries
+
     if args.limit < 1:
         raise StudyError("limit must be at least 1, got %d" % args.limit)
     inv = _load_inventory(args.inventory)

@@ -26,15 +26,10 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import StudyError, SyllabifyError
-from .inventory import FEATURES, HOLE, Inventory
+from .inventory import FEATURES, HOLE, KINDS, ORIENTATIONS, SCHEMES, WEIGHTINGS, Inventory
+from .inventory import FORMATS  # noqa: F401  (still read as `ptrac.core.FORMATS`)
 from .lexicon import LexEntry, Lexicon
 from .syllabifier import syllable_spans, syllabify
-
-KINDS = ("clusters", "positions")
-WEIGHTINGS = ("type-frequency", "unweighted")
-ORIENTATIONS = ("unordered", "ordered")
-SCHEMES = ("frame", "following-segment", "following-class", "position", "total")
-FORMATS = ("csv", "json", "markdown", "svg")  # the output formats of `report.render`
 
 
 class StudyConfig(namedtuple("StudyConfig", "kind weighting orientation feature")):
@@ -318,7 +313,8 @@ def _passes(inv: Inventory, cfg: StudyConfig, shifts):
     Up passes swap for larger codes, from the last position to the first;
     an ordered study first makes down passes, first position to last. A
     sequence's neighbours so come out in tuple order, each pair of an
-    unordered study once, from its smaller member."""
+    unordered study once, from its smaller member. Only the enumeration
+    walks down passes; `_count_table` counts from the up passes."""
     codes = inv.codes
     up = [[] for _ in inv.code_symbols]
     down = [[] for _ in inv.code_symbols]
@@ -396,7 +392,11 @@ def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
     padding 0 included (see `scheme_key`). So before the walk, each pass
     maps every next code to the row of its context, shared by the passes
     at that position. The row of context None holds the pairs the scheme
-    leaves out; they count only towards `pairs_found`."""
+    leaves out; they count only towards `pairs_found`.
+
+    An ordered study walks the up passes alone and counts each pair twice:
+    a pair and its reverse share the frame, the code after the hole and
+    the weight."""
     key_of = scheme_key(scheme, cfg.kind, inv)
     coded, shifts = _encode(table.freqs, inv)
     bits, symbols = inv.code_bits, inv.code_symbols
@@ -404,7 +404,7 @@ def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
     rows = {}  # context, or under frame the coded frame -> row
     frames = []  # under frame, (coded sequence, shift, row) of each row's first pair
     passes = []  # (shift, steps, mask of a sequence's row key, row of each key)
-    for pos, shift, steps in _passes(inv, cfg, shifts):
+    for pos, shift, steps in _passes(inv, cfg._replace(orientation="unordered"), shifts):
         if scheme == "frame":
             passes.append((shift, steps, ~(mask << shift), rows))
             continue
@@ -439,10 +439,12 @@ def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
         rows = {frame_of(seqs[a], shifts.index(shift)): row for a, shift, row in frames}
     del coded
     weighted = cfg.weighting == "type-frequency"
+    times = 2 if cfg.orientation == "ordered" else 1
     cells, found = {}, 0
     for ctx, row in rows.items():
         for feature, (w, n) in zip(FEATURES, row):
             if n:
+                w, n = w * times, n * times
                 found += n
                 if ctx is not None:
                     cells[ctx, feature] = Cell(w if weighted else n, n)

@@ -22,6 +22,13 @@ from typing import NamedTuple
 from .errors import InventoryError
 
 FEATURES = ("manner", "place", "voice")
+# The settings a study and its output take (see `core.StudyConfig` and
+# `report.RenderSpec`), here so the CLI can offer them without loading the engine.
+KINDS = ("clusters", "positions")
+WEIGHTINGS = ("type-frequency", "unweighted")
+ORIENTATIONS = ("unordered", "ordered")
+SCHEMES = ("frame", "following-segment", "following-class", "position", "total")
+FORMATS = ("csv", "json", "markdown", "svg")  # the output formats of `report.render`
 SEGMENT_CLASSES = ("nasal", "liquid", "glide", "obstruent")
 
 # Default map used by the following-class aggregation scheme; consonants
@@ -214,7 +221,7 @@ def featural_pairs(inv: Inventory, feature: str, orientation: str = "unordered")
     """All consonant pairs contrasting exactly on `feature`, sorted."""
     if feature not in FEATURES:
         raise InventoryError("unknown feature %r" % feature)
-    if orientation not in ("ordered", "unordered"):
+    if orientation not in ORIENTATIONS:
         raise InventoryError("unknown orientation %r" % orientation)
     return sorted(
         (a, b)

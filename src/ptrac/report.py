@@ -12,9 +12,9 @@ import json
 from collections import namedtuple
 
 from . import __version__
-from .core import (FORMATS, SCHEMES, ContrastMatrix, aggregate, context_text,
-                   require_distinct_texts)
+from .core import ContrastMatrix, aggregate, context_text, require_distinct_texts
 from .errors import StudyError
+from .inventory import FORMATS, SCHEMES
 
 CSV_HEADER = "context,feature,weighted_count,pair_count"
 MAX_CHART_COLUMNS = 64

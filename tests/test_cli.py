@@ -197,7 +197,6 @@ def test_list_pairs(capsys, inv_path, lex_path):
 def count_extractions(monkeypatch):
     """The study configs of the `extract_sequences` calls that follow, made
     from the CLI or from inside `ptrac.core` (`run_study`, `list_pairs_for`)."""
-    import ptrac.cli
     import ptrac.core
 
     configs = []
@@ -207,8 +206,7 @@ def count_extractions(monkeypatch):
         configs.append(cfg)
         return extract(lex, inv, cfg, *args, **kwargs)
 
-    for module in (ptrac.cli, ptrac.core):
-        monkeypatch.setattr(module, "extract_sequences", counting_extract)
+    monkeypatch.setattr(ptrac.core, "extract_sequences", counting_extract)
     return configs
 
 
@@ -416,7 +414,7 @@ def test_contexts_that_render_alike_are_a_validation_error(capsys, monkeypatch, 
 
     inv, lex = join_alike
     monkeypatch.setattr(ptrac.cli, "_load_inventory", lambda path: inv)
-    monkeypatch.setattr(ptrac.cli, "read_entries", lambda text, inv, diagnostics: iter(lex))
+    monkeypatch.setattr("ptrac.lexicon.read_entries", lambda text, inv, diagnostics: iter(lex))
     lexicon = tmp_path / "lex.tsv"
     lexicon.write_text("", encoding="utf-8")
     code, out, err = run(capsys, command[:1] + ["--inventory", "unused", "--lexicon",
@@ -441,7 +439,7 @@ def test_list_pairs_sees_frames_of_every_feature(capsys, monkeypatch, tmp_path,
 
     inv, lex = join_alike_across_features
     monkeypatch.setattr(ptrac.cli, "_load_inventory", lambda path: inv)
-    monkeypatch.setattr(ptrac.cli, "read_entries", lambda text, inv, diagnostics: iter(lex))
+    monkeypatch.setattr("ptrac.lexicon.read_entries", lambda text, inv, diagnostics: iter(lex))
     lexicon = tmp_path / "lex.tsv"
     lexicon.write_text("", encoding="utf-8")
     assert run(capsys, ["list-pairs", "--inventory", "unused", "--lexicon", str(lexicon),
@@ -544,12 +542,10 @@ def test_list_pairs_refused_scheme_follows_every_diagnostic(capsys, inv_path, tm
 
 def test_analyze_diagnostics_written_before_a_failing_study(capsys, monkeypatch, inv_path,
                                                             tmp_path):
-    import ptrac.cli
-
     def fail(lex, inv, cfg, scheme="frame"):
         raise StudyError("study failed")
 
-    monkeypatch.setattr(ptrac.cli, "run_study", fail)
+    monkeypatch.setattr("ptrac.core.run_study", fail)
     lex = tmp_path / "mixed.tsv"
     lex.write_text(MIXED_LEXICON, encoding="utf-8")
     code, out, err = run(capsys, ["analyze", "--inventory", inv_path, "--lexicon", str(lex),
@@ -597,16 +593,16 @@ def test_collector_state_restored(capsys, inv_path, lex_path, case, enabled):
 
 
 def test_collector_paused_inside_a_command(capsys, monkeypatch, inv_path, lex_path):
-    import ptrac.cli
+    import ptrac.core
 
     seen = []
-    run_study = ptrac.cli.run_study
+    run_study = ptrac.core.run_study
 
     def recording_run_study(*args, **kwargs):
         seen.append(gc.isenabled())
         return run_study(*args, **kwargs)
 
-    monkeypatch.setattr(ptrac.cli, "run_study", recording_run_study)
+    monkeypatch.setattr(ptrac.core, "run_study", recording_run_study)
     assert gc.isenabled()
     code, _, _ = run(capsys, _argvs(inv_path, lex_path)["success"][1])
     assert code == 0 and seen == [False] and gc.isenabled()

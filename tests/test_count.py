@@ -7,7 +7,6 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-import ptrac.cli
 import ptrac.core
 from ptrac import (
     Lexicon,
@@ -77,17 +76,17 @@ def enumerate_calls(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(ptrac.core, "enumerate_minimal_sequence_pairs", counting)
-    monkeypatch.setattr(ptrac.cli, "enumerate_minimal_sequence_pairs", counting)
     return calls
 
 
 @pytest.mark.parametrize("feature", [None, "manner", "place", "voice"])
 @pytest.mark.parametrize("kind", ["clusters", "positions"])
 def test_counts_pairs_equals_pair_list(persian, fixture_lexicon, kind, feature):
-    cfg = StudyConfig(kind=kind, feature=feature)
-    report = run_study(fixture_lexicon, persian, cfg)
-    assert report.counts["pairs"] == len(enumerate_minimal_sequence_pairs(report.table,
-                                                                          persian, cfg))
+    for orientation in ("unordered", "ordered"):
+        cfg = StudyConfig(kind=kind, feature=feature, orientation=orientation)
+        report = run_study(fixture_lexicon, persian, cfg)
+        assert report.counts["pairs"] == len(enumerate_minimal_sequence_pairs(report.table,
+                                                                              persian, cfg))
 
 
 def test_analyze_enumerates_no_pairs(capsys, enumerate_calls):
