@@ -204,12 +204,12 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
     `carriers`, the same pass also fills `table.carriers`, the drill-down's
     index from each sequence to the entries that carry it.
 
-    `entries` is a Lexicon parsed against `inv`, or an iterable of
-    ``(orthography, transcription)`` as `read_entries` yields them, read
-    once: then no entry is kept, unless as a carrier (a LexEntry is built
-    for it). A transcription is a tuple of symbols, or, when every symbol
-    of `inv` is one character, also their text. In an iterable, a symbol
-    outside `inv` is a StudyError.
+    `entries` is a Lexicon parsed against `inv` (its stored pairs are
+    read), or an iterable of ``(orthography, transcription)`` as
+    `read_entries` yields them, read once: then no entry is kept, unless
+    as a carrier (a LexEntry is built for it). A transcription is a tuple
+    of symbols, or, when every symbol of `inv` is one character, also
+    their text; a symbol outside `inv` is a StudyError.
 
     Sequences are cut from each transcription by the plan of its
     consonant/vowel skeleton: the slice bounds ``(start, end)`` of its
@@ -219,18 +219,16 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
     per distinct skeleton and no syllables are built; a rejected entry is
     syllabified once more, for the message of its error. When every
     symbol is one character, the skeleton is the transcription's text
-    through `inv.skeleton_table`. An iterable's transcriptions are then
-    read as text: sequences are counted under text slices, and each
-    distinct one becomes a tuple once, after the pass; a Lexicon's are
-    sliced as the tuples they are. Else the skeleton is bytes of the
-    vowel flags (bytes rather than a tuple: no tuple free list keeps
-    thousands of them alive after the pass)."""
+    through `inv.skeleton_table`. The transcriptions are then read as
+    text, a tuple joined first: sequences are counted under text slices,
+    and each distinct one becomes a tuple once, after the pass. Else the
+    skeleton is bytes of the vowel flags (bytes rather than a tuple: no
+    tuple free list keeps thousands of them alive after the pass)."""
     as_text = bool(inv.skeleton_table)  # count under text slices
     if isinstance(entries, Lexicon):
         if entries.inventory is not inv:
             raise StudyError("lexicon was parsed against a different inventory")
-        entries = entries.entries
-        as_text = False
+        entries = entries._rows
     freqs, index = {}, {} if carriers else None
     excluded = []
     skeleton_table = inv.skeleton_table
@@ -247,8 +245,6 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
                         raise _unknown_symbol(ix, entry, inv)
                     t = text
                 skeleton = t.translate(skeleton_table)
-            elif skeleton_table:  # a Lexicon's tuple of known symbols
-                skeleton = "".join(t).translate(skeleton_table)
             else:
                 t = tuple(t)
                 skeleton = bytes(map(is_vowel, t))
@@ -268,7 +264,8 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
             except SyllabifyError as exc:
                 excluded.append(ExcludedEntry(ix, entry[0], str(exc), exc.reason))
                 continue
-        if index is not None and plan and entry.__class__ is not LexEntry:
+        if index is not None and plan and (entry.__class__ is not LexEntry
+                                           or entry[1].__class__ is not tuple):
             entry = tuple.__new__(LexEntry, (entry[0], tuple(t)))
         for o, e in plan:
             seq = t[o:e]
@@ -360,8 +357,8 @@ def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: 
             for d, f in steps[a >> shift & mask]:
                 fb = get(a + d)
                 if fb is not None:
-                    pairs.append(MinimalSequencePair(seq_a, seqs[a + d], pos, FEATURES[f],
-                                                     fa if fa < fb else fb))
+                    pairs.append(tuple.__new__(MinimalSequencePair, (  # skips its __new__
+                        seq_a, seqs[a + d], pos, FEATURES[f], fa if fa < fb else fb)))
     return pairs
 
 

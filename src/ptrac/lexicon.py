@@ -29,30 +29,35 @@ class Diagnostic(NamedTuple):
 
 
 class Lexicon:
+    """Entries of one inventory, in one list, `_rows`: from `parse_lexicon`,
+    the pairs of `read_entries` as read (`_as_read`) until `entries` is read."""
+
     def __init__(self, entries, inventory: Inventory):
-        self.entries = list(entries)
+        # tuple(): a text transcription is checked, and kept, one symbol per character
+        self._rows = [tuple.__new__(LexEntry, (e[0], tuple(e[1]))) for e in entries]
+        self._as_read = False
         self.inventory = inventory
-        unknown = set().union(*map(attrgetter("transcription"), self.entries))
+        unknown = set().union(*map(attrgetter("transcription"), self._rows))
         unknown -= inventory.vowel_map.keys()
         if unknown:
-            first = next(e for e in self.entries if not unknown.isdisjoint(e.transcription))
+            first = next(e for e in self._rows if not unknown.isdisjoint(e.transcription))
             raise LexiconError(
                 "symbol(s) not in the inventory: %s (first in entry %r)"
                 % (", ".join(map(repr, sorted(unknown))), first.orthography)
             )
 
-    @classmethod
-    def _of_tokenized(cls, entries: list, inventory: Inventory):
-        """A Lexicon of entries whose transcriptions came from
-        `tokenize_transcription` against `inventory`, so every symbol is
-        known: the constructor's symbol check is skipped."""
-        lex = cls.__new__(cls)
-        lex.entries = entries
-        lex.inventory = inventory
-        return lex
+    @property
+    def entries(self) -> list:
+        """`_rows` as LexEntry named tuples with tuple transcriptions, made so
+        in place once: every read returns the list extraction reads."""
+        if self._as_read:
+            # tuple.__new__ skips the Python-level __new__ of the named tuple
+            self._rows[:] = [tuple.__new__(LexEntry, (o, tuple(t))) for o, t in self._rows]
+            self._as_read = False
+        return self._rows
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._rows)
 
     def __iter__(self):
         return iter(self.entries)
@@ -133,16 +138,14 @@ def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
     LexiconError lists them all, in line order.
     """
     diagnostics = []
-    # tuple.__new__ skips the Python-level __new__ of the named tuple
-    entries = [tuple.__new__(LexEntry, (orth, tuple(trans)))
-               for orth, trans in read_entries(text, inv, diagnostics)]
+    rows = list(read_entries(text, inv, diagnostics))
     if strict and diagnostics:
         raise strict_error(diagnostics)
-    return Lexicon._of_tokenized(entries, inv), diagnostics
+    lex = Lexicon.__new__(Lexicon)  # skips the symbol check: `read_entries` made them
+    lex._rows, lex._as_read, lex.inventory = rows, True, inv
+    return lex, diagnostics
 
 
 def serialize_lexicon(lex: Lexicon) -> str:
     """Inverse of parse_lexicon for well-formed lexicons (round-trips)."""
-    return "".join(
-        "%s\t%s\n" % (e.orthography, "".join(e.transcription)) for e in lex.entries
-    )
+    return "".join("%s\t%s\n" % (o, "".join(t)) for o, t in lex._rows)

@@ -86,3 +86,15 @@ def test_matches_frame_buckets_on_benchmark_lexicon():
                     sorted(inv.vowels), size=1500).text
     lex, _ = parse_lexicon(text, inv)
     assert check_case(inv, lex) > 1000
+
+
+def test_pairs_are_minimal_sequence_pairs():
+    inv = data.persian_inventory()
+    lex, _ = parse_lexicon(data.voicing_fixture_text(), inv)
+    cfg = StudyConfig(orientation="ordered")
+    pairs = enumerate_minimal_sequence_pairs(extract_sequences(lex, inv, cfg)[0], inv, cfg)
+    assert pairs and all(type(p) is MinimalSequencePair for p in pairs)
+    p = pairs[0]
+    assert p == MinimalSequencePair(p.seq_a, p.seq_b, p.position, p.feature, p.weight)
+    assert p._fields == ("seq_a", "seq_b", "position", "feature", "weight")
+    assert p.frame == "".join(frame_of(p.seq_a, p.position))

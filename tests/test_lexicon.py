@@ -255,6 +255,55 @@ def test_lex_entry_named_tuple(persian):
     assert lex.entries == [entry] and type(lex.entries[0]) is LexEntry
 
 
+@pytest.mark.parametrize("multichar", [False, True], ids=["one-char", "multichar"])
+def test_entries_are_one_list_of_lex_entries(persian, multichar):
+    from ptrac import LexEntry, StudyConfig, data, extract_sequences, parse_inventory
+
+    inv = persian
+    if multichar:
+        inv = parse_inventory(data.persian_inventory_text().replace(
+            "[phonemes]\n", "[phonemes]\nŋŋ vowel\n", 1))
+    lex, _ = parse_lexicon("band\tband\nsard\tsa?d\n", inv)
+    assert len(lex) == 2
+    entries = lex.entries
+    assert entries == [("band", ("b", "a", "n", "d")), ("sard", ("s", "a", "'", "d"))]
+    assert all(type(e) is LexEntry and type(e.transcription) is tuple for e in entries)
+    assert lex.entries is entries and list(lex) == entries
+    # an entry appended to the list is extracted
+    entries.append(LexEntry("pand", ("p", "a", "n", "d")))
+    table, _ = extract_sequences(lex, inv, StudyConfig(), carriers=True)
+    assert table.freqs == {("n", "d"): 2, ("'", "d"): 1}
+    assert table.carriers[("n", "d")] == entries[::2]
+    assert all(g is e for g, e in zip(table.carriers[("n", "d")], entries[::2]))
+    assert len(lex) == 3 and lex.entries is entries
+
+
+def test_lexicon_keeps_text_transcriptions_one_symbol_per_character(persian):
+    # The constructor checks a text transcription character by character,
+    # so it stores it that way: the table is keyed by tuples.
+    from ptrac import LexEntry, Lexicon, StudyConfig, enumerate_minimal_sequence_pairs
+    from ptrac import extract_sequences, list_pairs_for
+
+    lex = Lexicon([LexEntry("w", "bandt"), LexEntry("v", "bant"), LexEntry("u", "bart")],
+                  persian)
+    assert lex.entries[1] == ("v", ("b", "a", "n", "t"))
+    cfg = StudyConfig(kind="clusters")
+    table, _ = extract_sequences(lex, persian, cfg)
+    assert table.freqs == {("n", "t"): 1, ("r", "t"): 1}
+    assert all(type(seq) is tuple for seq in table.freqs)
+    pairs = enumerate_minimal_sequence_pairs(table, persian, cfg)
+    rows = list_pairs_for(pairs, "manner", "_t", lex, persian, cfg, scheme="following-segment")
+    assert [r.witnesses for r in rows] == [(("v", "u"),)]
+    # a carrier read from an iterable gets a tuple transcription too
+    entries = [LexEntry("w", "bandt"), LexEntry("v", "bant"), LexEntry("u", "bart")]
+    carriers = extract_sequences(iter(entries), persian, cfg, carriers=True)[0].carriers
+    assert carriers == {("n", "t"): [("v", ("b", "a", "n", "t"))],
+                        ("r", "t"): [("u", ("b", "a", "r", "t"))]}
+    rows = list_pairs_for(pairs, "manner", "_t", None, persian, cfg,
+                          scheme="following-segment", carriers=carriers)
+    assert [r.witnesses for r in rows] == [(("v", "u"),)]
+
+
 @settings(max_examples=300)
 @given(st.one_of(alphabet_and_text(), alphabet_and_text(max_symbol_size=1)))
 def test_tokens_are_inventory_symbols(case):

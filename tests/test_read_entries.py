@@ -55,8 +55,11 @@ def assert_streams_like_parse(text, inv):
     """Both study kinds, with and without carriers: extraction from
     `read_entries` equals extraction from `parse_lexicon` and the
     reference; `read_entries` yields text exactly for one-character
-    inventories."""
+    inventories. The parsed Lexicon is extracted both before its
+    `entries` are read (`fresh`, still as read) and after (`lex`, whose
+    entries the reference reads)."""
     lex, want_diags = parse_lexicon(text, inv)
+    fresh, _ = parse_lexicon(text, inv)
     diags = []
     kinds = {type(t) for _, t in read_entries(text, inv, diags)}
     assert diags == want_diags
@@ -69,17 +72,23 @@ def assert_streams_like_parse(text, inv):
             got, excluded = extract_sequences(read_entries(text, inv, diags), inv, cfg,
                                               carriers=carriers)
             want, want_ex = extract_sequences(lex, inv, cfg, carriers=carriers)
+            as_read, as_read_ex = extract_sequences(fresh, inv, cfg, carriers=carriers)
             assert diags == want_diags
             assert list(got.freqs.items()) == list(want.freqs.items())  # key order too
+            assert list(got.freqs.items()) == list(as_read.freqs.items())
             assert list(got.freqs.items()) == list(want_freqs.items())
             assert all(type(seq) is tuple for seq in got.freqs)
-            assert excluded == want_ex == want_excluded
+            assert all(type(seq) is tuple for seq in as_read.freqs)
+            assert excluded == want_ex == as_read_ex == want_excluded  # codes too
             if not carriers:
-                assert got.carriers is None
+                assert got.carriers is None and as_read.carriers is None
                 continue
             assert list(got.carriers.items()) == list(want.carriers.items())
+            assert list(got.carriers.items()) == list(as_read.carriers.items())
             assert list(got.carriers.items()) == list(want_carriers.items())
             assert all(type(e) is LexEntry for es in got.carriers.values() for e in es)
+            assert all(type(e) is LexEntry for es in as_read.carriers.values() for e in es)
+    assert fresh.entries == lex.entries
 
 
 @pytest.mark.parametrize("inv", [PERSIAN, PERSIAN_MULTI], ids=["one-char", "multichar"])
@@ -97,6 +106,11 @@ def test_mixed_lexicon(inv):
                                         StudyConfig(kind="clusters"))
     assert [e.orthography for e in excluded] == ["akt", "sart", "brak"]
     assert table.freqs[("'", "b")] == 1 and table.freqs[("n", "d")] == 3
+
+
+@pytest.mark.parametrize("inv", [PERSIAN, PERSIAN_MULTI], ids=["one-char", "multichar"])
+def test_fixture(inv):
+    assert_streams_like_parse(data.voicing_fixture_text(), inv)
 
 
 @pytest.mark.parametrize("mode", ["pair-list", "vector", "multichar"])
