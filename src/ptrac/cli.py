@@ -145,7 +145,7 @@ def _cmd_syllabify(args):
     lines = []
     for label, seq in items:
         try:
-            lines.append(format_syllables(syllabify(seq, inv)) + "\n")
+            lines.append(format_syllables(syllabify(inv.decode(seq), inv)) + "\n")
         except PtracError as exc:
             print("error: %s: %s" % (label, exc), file=sys.stderr)
             failures += 1
@@ -204,7 +204,7 @@ def _cmd_list_pairs(args):
     # Only frames of multi-character symbols can render alike, also across
     # features, and `list_pairs_for` must see every frame of the context's
     # text to refuse such a collision; any other walk needs the feature alone.
-    every_feature = args.scheme == "frame" and not inv.skeleton_table
+    every_feature = args.scheme == "frame" and inv.decode is not tuple
     cfg = StudyConfig(kind=args.study, feature=None if every_feature else args.feature)
     table, _ = extract_sequences(entries, inv, cfg, carriers=True)
     _warn(diags)

@@ -207,81 +207,65 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
     `entries` is a Lexicon parsed against `inv` (its stored pairs are
     read), or an iterable of ``(orthography, transcription)`` as
     `read_entries` yields them, read once: then no entry is kept, unless
-    as a carrier (a LexEntry is built for it). A transcription is a tuple
-    of symbols, or, when every symbol of `inv` is one character, also
-    their text; a symbol outside `inv` is a StudyError.
+    as a carrier (a LexEntry is built for it). A transcription is text of
+    `inv.char_of` characters, or symbols, joined so first; a symbol
+    outside `inv` is a StudyError.
 
-    Sequences are cut from each transcription by the plan of its
-    consonant/vowel skeleton: the slice bounds ``(start, end)`` of its
-    study sequences in word order, the CVCC codas (clusters) or whole CVCC
-    syllables (positions), or None when `syllabify` rejects the skeleton.
-    Syllable spans depend only on the skeleton, so a plan is computed once
-    per distinct skeleton and no syllables are built; a rejected entry is
-    syllabified once more, for the message of its error. When every
-    symbol is one character, the skeleton is the transcription's text
-    through `inv.skeleton_table`. The transcriptions are then read as
-    text, a tuple joined first: sequences are counted under text slices,
-    and each distinct one becomes a tuple once, after the pass. Else the
-    skeleton is bytes of the vowel flags (bytes rather than a tuple: no
-    tuple free list keeps thousands of them alive after the pass)."""
-    as_text = bool(inv.skeleton_table)  # count under text slices
+    Each transcription is cut by the plan of its consonant/vowel skeleton,
+    its text through `inv.skeleton_table`: the slice bounds ``(start,
+    end)`` of its study sequences in word order, the CVCC codas (clusters)
+    or whole CVCC syllables (positions), or None when `syllabify` rejects
+    the skeleton. Syllable spans depend only on the skeleton, so a plan is
+    computed once per distinct skeleton and no syllables are built; a
+    rejected entry is syllabified once more, for its error's message.
+    Sequences are counted under text slices; `inv.decode` gives the
+    symbols of each distinct one, once after the pass, of each carrier,
+    and of the texts `syllable_spans` and `syllabify` read."""
     if isinstance(entries, Lexicon):
         if entries.inventory is not inv:
             raise StudyError("lexicon was parsed against a different inventory")
         entries = entries._rows
     freqs, index = {}, {} if carriers else None
     excluded = []
-    skeleton_table = inv.skeleton_table
-    is_vowel = inv.vowel_map.__getitem__
+    skeleton_table, char_of, decode = inv.skeleton_table, inv.char_of.__getitem__, inv.decode
     lead = 1 if cfg.kind == "clusters" else -1  # the coda, or the whole syllable
     plans = {}
     for ix, entry in enumerate(entries):
         t = entry[1]  # no unpacking: a LexEntry would be unpacked through an iterator
         try:
-            if as_text:
-                if t.__class__ is not str:
-                    text = "".join(t)
-                    if len(text) != len(t):  # a symbol of more or less than one character
-                        raise _unknown_symbol(ix, entry, inv)
-                    t = text
-                skeleton = t.translate(skeleton_table)
-            else:
-                t = tuple(t)
-                skeleton = bytes(map(is_vowel, t))
+            if t.__class__ is not str:
+                t = "".join(map(char_of, t))
+            skeleton = t.translate(skeleton_table)
             plan = plans.get(skeleton, False)  # a plan may be None or ()
             if plan is False:
                 try:
-                    plan = tuple((v + lead, end) for v, end in syllable_spans(t, inv)
+                    plan = tuple((v + lead, end) for v, end in syllable_spans(decode(t), inv)
                                  if end - v == 3)
                 except SyllabifyError:
                     plan = None
                 plans[skeleton] = plan
-        except KeyError:  # only a new skeleton can hold a symbol outside `inv`
-            raise _unknown_symbol(ix, entry, inv) from None
+        except KeyError as exc:  # only a new skeleton can hold a symbol outside `inv`
+            raise StudyError("entry %d (%s): symbol %r is not in the inventory"
+                             % (ix, entry[0], exc.args[0])) from None
         if plan is None:
             try:
-                syllabify(t, inv)  # raises, naming the reason
+                syllabify(decode(t), inv)  # raises, naming the reason
             except SyllabifyError as exc:
                 excluded.append(ExcludedEntry(ix, entry[0], str(exc), exc.reason))
                 continue
         if index is not None and plan and (entry.__class__ is not LexEntry
                                            or entry[1].__class__ is not tuple):
-            entry = tuple.__new__(LexEntry, (entry[0], tuple(t)))
+            entry = tuple.__new__(LexEntry, (entry[0], decode(t)))
         for o, e in plan:
             seq = t[o:e]
             freqs[seq] = freqs.get(seq, 0) + 1
             if index is not None:
                 index.setdefault(seq, []).append(entry)
-    if as_text:  # text keys to tuple keys; distinct texts stay distinct
-        freqs = dict(zip(map(tuple, freqs), freqs.values()))
-        if index is not None:
-            index = dict(zip(map(tuple, index), index.values()))
+    # text keys to tuple keys; distinct texts stay distinct
+    freqs = dict(zip(map(decode, freqs), freqs.values()))
+    if index is not None:
+        index = dict(zip(map(decode, index), index.values()))
     return SequenceTable(freqs, index), excluded
-
-
-def _unknown_symbol(ix, entry, inv: Inventory) -> StudyError:
-    sym = next(s for s in entry[1] if s not in inv.vowel_map)
-    return StudyError("entry %d (%s): symbol %r is not in the inventory" % (ix, entry[0], sym))
 
 
 def _encode(freqs, inv: Inventory):

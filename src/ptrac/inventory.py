@@ -88,15 +88,19 @@ class Inventory:
     * ``token_re``: an alternation of the symbols, longest first, plus the
       glottal alias when the inventory has a glottal stop; a match at an
       offset is the greedy longest-match token there;
-    * ``char_symbols``: the symbols other than ``?`` when every symbol is
-      one character, else empty; a text made only of them tokenizes to
-      its characters;
-    * ``skeleton_table``: when every symbol is one character, a
-      `str.translate` table from each symbol to ``"V"`` (vowel) or ``"C"``,
-      and from ``"C"`` and ``"V"``, unless they are symbols, to ``"-"``,
-      else empty; ``"".join(t).translate(skeleton_table)`` is then the
-      consonant/vowel skeleton of transcription `t`, and a skeleton of
-      only ``"C"`` and ``"V"`` is that of a text of symbols;
+    * ``char_of``: symbol -> its character in transcription text, itself
+      if one character long, else a private code: the first characters
+      from U+D800 on that are in no symbol, in definition order (lone
+      surrogates come first, and no UTF-8 file holds one);
+    * ``decode``: such a text, or a tuple of symbols, -> the tuple of its
+      symbols; `tuple` when every symbol is one character;
+    * ``char_symbols``: the one-character symbols, other than ``?``, that
+      begin no longer symbol; a text made only of them tokenizes to its
+      characters;
+    * ``skeleton_table``: a `str.translate` table from each symbol's
+      character to ``"V"`` (vowel) or ``"C"``, and from ``"C"`` and
+      ``"V"``, unless they are symbols, to ``"-"``: a text's consonant/vowel
+      skeleton, of only ``"C"`` and ``"V"`` just for a text of symbols;
     * ``vowel_map``: the symbol table, each symbol in definition order
       -> whether it is a vowel;
     * ``relation``: consonant -> {consonant: feature}, the pair relation
@@ -175,11 +179,16 @@ class Inventory:
         if GLOTTAL in vm:
             symbols.append(GLOTTAL_ALIAS)
         self.token_re = re.compile("|".join(map(re.escape, symbols)))
-        one_char = all(len(s) == 1 for s in vm)
-        self.char_symbols = frozenset(vm.keys() - {GLOTTAL_ALIAS} if one_char else ())
+        used = set().union(*vm)
+        free = (c for c in map(chr, range(0xD800, 0x110000)) if c not in used)
+        self.char_of = {s: s if len(s) == 1 else next(free) for s in vm}
+        symbol_of = {c: s for s, c in self.char_of.items() if c != s}
+        self.decode = (lambda text: tuple(map(symbol_of.get, text, text))) if symbol_of else tuple
+        heads = {s[0] for s in symbol_of.values()} | {GLOTTAL_ALIAS}
+        self.char_symbols = frozenset(s for s in vm if len(s) == 1 and s not in heads)
         skeletons = {c: "-" for c in "CV" if c not in vm}
-        skeletons.update((s, "V" if v else "C") for s, v in vm.items())
-        self.skeleton_table = str.maketrans(skeletons if one_char else {})
+        skeletons.update((self.char_of[s], "V" if v else "C") for s, v in vm.items())
+        self.skeleton_table = str.maketrans(skeletons)
         self.relation = {c: {} for c in self.consonants}
         for i, a in enumerate(self.consonants):
             for b in self.consonants[i + 1:]:

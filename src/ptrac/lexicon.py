@@ -8,6 +8,7 @@ Counts downstream are type frequencies, so no numeric column is read.
 
 from __future__ import annotations
 
+import re
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -30,7 +31,7 @@ class Diagnostic(NamedTuple):
 
 class Lexicon:
     """Entries of one inventory, in one list, `_rows`: from `parse_lexicon`,
-    the pairs of `read_entries` as read (`_as_read`) until `entries` is read."""
+    the text pairs of `read_entries` as read (`_as_read`) until `entries` is read."""
 
     def __init__(self, entries, inventory: Inventory):
         # tuple(): a text transcription is checked, and kept, one symbol per character
@@ -51,8 +52,9 @@ class Lexicon:
         """`_rows` as LexEntry named tuples with tuple transcriptions, made so
         in place once: every read returns the list extraction reads."""
         if self._as_read:
+            decode = self.inventory.decode
             # tuple.__new__ skips the Python-level __new__ of the named tuple
-            self._rows[:] = [tuple.__new__(LexEntry, (o, tuple(t))) for o, t in self._rows]
+            self._rows[:] = [tuple.__new__(LexEntry, (o, decode(t))) for o, t in self._rows]
             self._as_read = False
         return self._rows
 
@@ -66,9 +68,9 @@ class Lexicon:
 def tokenize_transcription(text: str, inv: Inventory):
     """Greedy longest-match segmentation of `text` into inventory symbols.
 
-    With one-character symbols this is a per-character mapping; multi-char
-    symbols are matched longest-first. "?" normalizes to the glottal stop.
-    """
+    Returns a tuple of symbols: the characters of a text made only of
+    `inv.char_symbols`, else the longest-first matches. "?" normalizes to
+    the glottal stop."""
     if not text:
         raise TokenizeError("empty transcription", offset=0, fragment="")
     if inv.char_symbols.issuperset(text):
@@ -96,14 +98,13 @@ def read_entries(text: str, inv: Inventory, diagnostics: list):
     a lexicon file, in line order; each malformed line instead appends a
     Diagnostic to `diagnostics`. This is the lexicon's only line rule.
 
-    The transcription is a str when every symbol of `inv` is one character
-    (`inv.skeleton_table` is non-empty), each character a symbol, "?"
-    already read as the glottal stop; else a tuple of symbols. Nothing is
-    kept per line: `split_lines` splits the text one slice of about 64 KiB
-    at a time, so beside `text` only that slice's lines are held, and
-    `core.extract_sequences` can read a file of any size through it."""
-    chars = inv.char_symbols
-    one_char = bool(inv.skeleton_table)
+    The transcription is a str, one character per symbol: a symbol's
+    `inv.char_of`, "?" already read as the glottal stop; `inv.decode`
+    gives its symbols. Nothing is kept per line: `split_lines` splits the
+    text one slice of about 64 KiB at a time, so beside `text` only that
+    slice's lines are held, and `core.extract_sequences` can read a file
+    of any size through it."""
+    chars, char_of = inv.char_symbols, inv.char_of.__getitem__
     for no, line in enumerate(split_lines(text), start=1):
         head = line.lstrip()
         if not head or head[0] == "#":
@@ -113,14 +114,12 @@ def read_entries(text: str, inv: Inventory, diagnostics: list):
             diagnostics.append(Diagnostic(no, "expected 'orthography<TAB>transcription'"))
             continue
         trans = parts[1]
-        if not chars.issuperset(trans):  # always taken when `chars` is empty
+        if not chars.issuperset(trans):
             try:
-                trans = tokenize_transcription(trans, inv)
+                trans = "".join(map(char_of, tokenize_transcription(trans, inv)))
             except TokenizeError as exc:
                 diagnostics.append(Diagnostic(no, str(exc)))
                 continue
-            if one_char:
-                trans = "".join(trans)
         yield parts[0], trans
 
 
@@ -147,5 +146,13 @@ def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
 
 
 def serialize_lexicon(lex: Lexicon) -> str:
-    """Inverse of parse_lexicon for well-formed lexicons (round-trips)."""
-    return "".join("%s\t%s\n" % (o, "".join(t)) for o, t in lex._rows)
+    """Inverse of parse_lexicon for well-formed lexicons (round-trips),
+    written in symbols. An entry whose orthography a line cannot hold
+    (empty, with a tab, "\n" or "\r", or read as a comment: "#" after any
+    leading whitespace) is a LexiconError naming it."""
+    decode, unwritable = lex.inventory.decode, re.compile(r"\A\Z|[\t\n\r]|\A\s*#").search
+    for ix, (o, _) in enumerate(lex._rows):
+        if unwritable(o):
+            raise LexiconError("entry %d: orthography %r cannot be written to a lexicon line"
+                               % (ix, o))
+    return "".join("%s\t%s\n" % (o, "".join(decode(t))) for o, t in lex._rows)

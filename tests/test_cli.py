@@ -652,9 +652,9 @@ def test_analyze_leaves_no_per_entry_cycles(capsys, inv_path, tmp_path):
 
 def with_multichar_vowel(inventory_text):
     """The inventory with an unused two-character vowel. No longer are all
-    symbols one character, so `char_symbols` and `skeleton_table` are empty
-    and tokenizing and extraction take their general paths (the token
-    regex, bytes skeletons)."""
+    symbols one character, so the vowel gets a private code character and
+    `decode` maps it back (see `Inventory.char_of`), and `list-pairs` under
+    frame walks every feature."""
     assert "[phonemes]\n" in inventory_text
     return inventory_text.replace("[phonemes]\n", "[phonemes]\nŋŋ vowel\n", 1)
 
@@ -730,14 +730,10 @@ def _lexicon_cases():
 
 @pytest.mark.parametrize("case", list(_lexicon_cases()), ids=lambda case: case[0])
 def test_one_character_paths_print_what_the_general_paths_print(capsys, tmp_path, case):
-    from ptrac import parse_inventory
-
     name, inv_text, lex_text = case
     one, multi = tmp_path / "one.inv", tmp_path / "multi.inv"
     one.write_text(inv_text, encoding="utf-8")
     multi.write_text(with_multichar_vowel(inv_text), encoding="utf-8")
-    assert parse_inventory(inv_text).skeleton_table
-    assert not parse_inventory(multi.read_text(encoding="utf-8")).char_symbols
     lex = tmp_path / "lex.tsv"
     lex.write_text(lex_text, encoding="utf-8")
     argvs = _path_argvs(capsys, str(one), str(lex))

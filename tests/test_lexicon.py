@@ -1,5 +1,7 @@
 """Lexicon parsing, tokenization and round-tripping."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -102,6 +104,43 @@ def test_round_trip(persian):
     ]
 
 
+# Orthographies a lexicon line cannot hold, each read back otherwise: as an
+# entry with another orthography, as no entry (a blank or comment line), or
+# as a malformed line plus another entry.
+UNWRITABLE = ["", "a\tb", "#x", "  # y", "\u3000#", "p\nq", "p\rq", "p\r\nq"]
+
+
+@pytest.mark.parametrize("orthography", UNWRITABLE + [" x", "a#b", "w\u2028", "\x0c"])
+def test_serialize_refuses_an_orthography_a_line_cannot_hold(persian, orthography):
+    from ptrac import Lexicon
+
+    lex = Lexicon([("band", "band"), (orthography, "pand")], persian)
+    if orthography not in UNWRITABLE:
+        read, diags = parse_lexicon(serialize_lexicon(lex), persian)
+        assert (read.entries, diags) == (lex.entries, [])
+        return
+    with pytest.raises(LexiconError, match=r"^entry 1: orthography %s cannot be written"
+                       % re.escape(repr(orthography))):
+        serialize_lexicon(lex)
+
+
+def test_round_trip_of_a_multichar_lexicon_as_read():
+    # Read from a file, a multi-character symbol is a private code character
+    # until `entries` is read; serializing writes the symbol.
+    from ptrac.lexicon import read_entries
+    from randlex import make_case
+
+    inv, lex = make_case(3, mode="multichar")
+    codes = {c for s, c in inv.char_of.items() if c != s}
+    text = serialize_lexicon(lex)
+    assert any(not codes.isdisjoint(t) for _, t in read_entries(text, inv, []))
+    fresh, diags = parse_lexicon(text, inv)
+    written = serialize_lexicon(fresh)  # before `entries` is read
+    assert codes.isdisjoint(written) and written == text
+    assert parse_lexicon(written, inv)[0].entries == fresh.entries
+    assert [e.transcription for e in fresh.entries] == [tuple(e[1]) for e in fresh.entries]
+
+
 @given(st.lists(st.sampled_from("bdstnrzlao"), min_size=1, max_size=8))
 def test_tokenize_inverts_join(persian, symbols):
     text = "".join(symbols)
@@ -186,14 +225,27 @@ class _CountingPattern:
         return self.pattern.match(text, pos)
 
 
+def _multichar_alphabet():
+    """"(" begins the symbol "(*", so only "b" and "a" are `char_symbols`."""
+    from ptrac import Inventory
+    from ptrac.inventory import FeatureSystem, Phoneme
+
+    return Inventory([Phoneme(s, s == "a") for s in ("b", "(", "(*", "a")],
+                     FeatureSystem(mode="pair-list"))
+
+
 def test_tokenize_one_character_symbols_matches_reference():
-    # One-character alphabets take the tuple(text) fast path unless the text
-    # has a "?" or a character that is no symbol; "?" may be the glottal
-    # alias (the alphabet has "'") or a literal constructor symbol.
-    paths = {"fast": 0, "regex": 0}
+    # A text takes the tuple(text) fast path when each character is one of
+    # `char_symbols`, else the regex: when it has a "?", a character that
+    # is no symbol, or one that begins a longer symbol. "?" may be the
+    # glottal alias (the alphabet has "'") or a literal constructor symbol.
+    # Both paths are taken with one-character and multi-character alphabets.
+    paths = {(multi, path): 0 for multi in (False, True) for path in ("fast", "regex")}
 
     @settings(max_examples=300)
-    @given(alphabet_and_text(max_symbol_size=1))
+    @given(st.one_of(alphabet_and_text(max_symbol_size=1), alphabet_and_text()))
+    @example((_multichar_alphabet(), "bab"))
+    @example((_multichar_alphabet(), "b(a"))
     def check(case):
         inv, text = case
         assert _outcome(tokenize_transcription, text, inv) == _outcome(
@@ -201,10 +253,11 @@ def test_tokenize_one_character_symbols_matches_reference():
         inv.token_re = _CountingPattern(inv.token_re)
         _outcome(tokenize_transcription, text, inv)
         if text:
-            paths["regex" if inv.token_re.findall_calls else "fast"] += 1
+            multi = inv.decode is not tuple
+            paths[multi, "regex" if inv.token_re.findall_calls else "fast"] += 1
 
     check()
-    assert paths["fast"] and paths["regex"]
+    assert all(paths.values()), paths
 
 
 @pytest.mark.parametrize("symbols, text, tokens", [
@@ -225,11 +278,14 @@ def test_tokenize_question_mark_with_one_character_symbols(symbols, text, tokens
 
 
 def test_char_symbols_empty_with_a_multi_character_symbol():
+    # Only "t" begins a longer symbol, so only it needs the token regex.
     from ptrac import parse_inventory
 
-    inv = parse_inventory("[phonemes]\nt consonant\nts consonant\na vowel\n[pairs]\n")
-    assert inv.char_symbols == frozenset()
+    inv = parse_inventory(
+        "[phonemes]\nt consonant\nts consonant\ns consonant\na vowel\n[pairs]\n")
+    assert inv.char_symbols == {"s", "a"}
     assert tokenize_transcription("tsa", inv) == ("ts", "a")
+    assert tokenize_transcription("sa", inv) == ("s", "a")
 
 
 def test_lexicon_rejects_unknown_symbol(persian):

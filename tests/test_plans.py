@@ -90,7 +90,7 @@ PLAN_INV = Inventory(
 )
 
 
-# One-character symbols, so that skeletons come from `skeleton_table`;
+# One-character symbols, each its own character of text (see `char_of`);
 # "?" (a symbol only through the constructor), "#" and "." among them.
 CHAR_INV = Inventory([Phoneme(c, False) for c in "?#t."] + [Phoneme(v, True) for v in "a'"],
                      FeatureSystem(mode="pair-list"))
@@ -128,8 +128,13 @@ def test_plans_match_syllabify_skeletons(case):
 
 
 def test_skeleton_table_only_for_one_character_inventories():
-    assert CHAR_INV.skeleton_table and not PLAN_INV.skeleton_table
+    # A multi-character inventory's table maps each symbol's code character.
     assert "".join(("?", "a", "#", ".", "t", "'")).translate(CHAR_INV.skeleton_table) == "CVCCCV"
+    word = ("ts", "ai", "k", "kh", "t", "a")
+    text = "".join(map(PLAN_INV.char_of.__getitem__, word))
+    assert len(text) == len(word) and PLAN_INV.decode(text) == word
+    assert text.translate(PLAN_INV.skeleton_table) == "CVCCCV"
+    assert {PLAN_INV.char_of[s] for s in ("ts", "kh", "ai")}.isdisjoint("".join(PLAN_INV.vowel_map))
 
 
 @pytest.mark.parametrize("skeleton, reason", NAMED_SKELETONS.values(), ids=NAMED_SKELETONS)

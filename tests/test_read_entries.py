@@ -54,16 +54,15 @@ PERSIAN_MULTI = multichar(data.persian_inventory_text())
 def assert_streams_like_parse(text, inv):
     """Both study kinds, with and without carriers: extraction from
     `read_entries` equals extraction from `parse_lexicon` and the
-    reference; `read_entries` yields text exactly for one-character
-    inventories. The parsed Lexicon is extracted both before its
-    `entries` are read (`fresh`, still as read) and after (`lex`, whose
-    entries the reference reads)."""
+    reference; `read_entries` yields text for every inventory. The parsed
+    Lexicon is extracted both before its `entries` are read (`fresh`,
+    still as read) and after (`lex`, whose entries the reference reads)."""
     lex, want_diags = parse_lexicon(text, inv)
     fresh, _ = parse_lexicon(text, inv)
     diags = []
     kinds = {type(t) for _, t in read_entries(text, inv, diags)}
     assert diags == want_diags
-    assert kinds <= ({str} if inv.skeleton_table else {tuple})
+    assert kinds <= {str}
     for kind in KINDS:
         cfg = StudyConfig(kind=kind)
         want_freqs, want_excluded, want_carriers = reference_extract(lex, inv, kind)
@@ -98,10 +97,7 @@ def test_mixed_lexicon(inv):
     entries = list(read_entries(MIXED, inv, diags))
     assert [d.line for d in diags] == [5, 7, 11]
     aliased = [t for o, t in entries if "?" in o]
-    if inv.skeleton_table:
-        assert aliased == ["'asl", "sa'b"]
-    else:
-        assert aliased == [("'", "a", "s", "l"), ("s", "a", "'", "b")]
+    assert aliased == ["'asl", "sa'b"]
     table, excluded = extract_sequences(read_entries(MIXED, inv, []), inv,
                                         StudyConfig(kind="clusters"))
     assert [e.orthography for e in excluded] == ["akt", "sart", "brak"]
@@ -165,8 +161,7 @@ def test_run_study_takes_the_stream():
 def test_a_symbol_outside_the_inventory_is_a_study_error(inv, transcription, seen_first):
     # The words read first have skeletons CVCC and CCCC, which "bVnd" and
     # "Vand" would copy if an unknown "V" were left untranslated.
-    entries = [("w%d" % i, t if inv.skeleton_table else tuple(t))
-               for i, t in enumerate(seen_first)]
+    entries = [("w%d" % i, t) for i, t in enumerate(seen_first)]
     entries.append(("odd", transcription))
     for kind in KINDS:
         with pytest.raises(StudyError, match=r"entry %d \(odd\).*not in the inventory"
