@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .errors import StudyError, SyllabifyError
 from .inventory import FEATURES, HOLE, KINDS, ORIENTATIONS, SCHEMES, WEIGHTINGS, Inventory
 from .inventory import FORMATS  # noqa: F401  (still read as `ptrac.core.FORMATS`)
-from .lexicon import LexEntry, Lexicon
+from .lexicon import Lexicon
 from .syllabifier import syllable_spans, syllabify
 
 
@@ -75,15 +75,14 @@ class _Record:
 
 
 class SequenceTable(_Record):
-    """Map from segment sequence to its type frequency, and, when
-    extraction was asked for it, to its carrier entries."""
+    """Map from segment sequence, as text (see `extract_sequences`), to its
+    type frequency, and, when extraction was asked for it, to its carriers."""
 
     __slots__ = ("freqs", "carriers")
 
     def __init__(self, freqs=None, carriers=None):
-        self.freqs = {} if freqs is None else freqs  # tuple -> occurrence count
-        # tuple -> [LexEntry], in lexicon order, one item per occurrence
-        self.carriers = carriers
+        self.freqs = {} if freqs is None else freqs  # text -> occurrence count
+        self.carriers = carriers  # text -> [entry], in lexicon order, one per occurrence
 
     def __len__(self):
         return len(self.freqs)
@@ -202,25 +201,22 @@ def require_distinct_texts(contexts):
 def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool = False):
     """Build the sequence-frequency table; returns (table, excluded). With
     `carriers`, the same pass also fills `table.carriers`, the drill-down's
-    index from each sequence to the entries that carry it.
+    index from each sequence to the entries that carry it: an entry as
+    read when its transcription was text, else ``(orthography, text)``.
 
     `entries` is a Lexicon parsed against `inv` (its stored pairs are
     read), or an iterable of ``(orthography, transcription)`` as
-    `read_entries` yields them, read once: then no entry is kept, unless
-    as a carrier (a LexEntry is built for it). A transcription is text of
-    `inv.char_of` characters, or symbols, joined so first; a symbol
-    outside `inv` is a StudyError.
+    `read_entries` yields them, read once and kept only as carriers. A
+    transcription is text of `inv.char_of` characters, or symbols, joined
+    so first; a symbol outside `inv` is a StudyError.
 
-    Each transcription is cut by the plan of its consonant/vowel skeleton,
-    its text through `inv.skeleton_table`: the slice bounds ``(start,
-    end)`` of its study sequences in word order, the CVCC codas (clusters)
-    or whole CVCC syllables (positions), or None when `syllabify` rejects
-    the skeleton. Syllable spans depend only on the skeleton, so a plan is
-    computed once per distinct skeleton and no syllables are built; a
-    rejected entry is syllabified once more, for its error's message.
-    Sequences are counted under text slices; `inv.decode` gives the
-    symbols of each distinct one, once after the pass, of each carrier,
-    and of the texts `syllable_spans` and `syllabify` read."""
+    Each transcription is cut into text slices, the table's keys, by the
+    plan of its consonant/vowel skeleton (its text through
+    `inv.skeleton_table`): the slice bounds ``(start, end)`` of its CVCC
+    codas (clusters) or whole CVCC syllables (positions) in word order, or
+    None when `syllabify` rejects the skeleton. A plan is computed once per
+    distinct skeleton, from the decoded text, and no syllables are built; a
+    rejected entry is decoded and syllabified again, for its message."""
     if isinstance(entries, Lexicon):
         if entries.inventory is not inv:
             raise StudyError("lexicon was parsed against a different inventory")
@@ -253,32 +249,27 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
             except SyllabifyError as exc:
                 excluded.append(ExcludedEntry(ix, entry[0], str(exc), exc.reason))
                 continue
-        if index is not None and plan and (entry.__class__ is not LexEntry
-                                           or entry[1].__class__ is not tuple):
-            entry = tuple.__new__(LexEntry, (entry[0], decode(t)))
+        if index is not None and plan and entry[1] is not t:
+            entry = (entry[0], t)
         for o, e in plan:
             seq = t[o:e]
             freqs[seq] = freqs.get(seq, 0) + 1
             if index is not None:
                 index.setdefault(seq, []).append(entry)
-    # text keys to tuple keys; distinct texts stay distinct
-    freqs = dict(zip(map(decode, freqs), freqs.values()))
-    if index is not None:
-        index = dict(zip(map(decode, index), index.values()))
     return SequenceTable(freqs, index), excluded
 
 
 def _encode(freqs, inv: Inventory):
     """The coded table, integer -> frequency in table order, and the bit
-    shift of each position. A sequence's integer holds the codes of its
-    symbols (see `Inventory`), first symbol highest, padded on the right
-    with code 0 to the longest sequence's length. Symbol codes are ordered
-    as the symbols are and no symbol is code 0, so the integers are
-    ordered as the tuples are, also across lengths. A symbol outside the
-    inventory is a StudyError."""
-    bits = inv.code_bits
+    shift of each position. A text's integer holds the codes of its
+    characters' symbols (see `Inventory`), first highest, padded on the
+    right with code 0 to the longest text's length. Codes are ordered as
+    the symbols are and none is 0, so the integers are ordered as symbol
+    tuples, also across lengths (texts are not: a private code sorts
+    apart). A character outside the inventory is a StudyError."""
+    bits, char_of = inv.code_bits, inv.char_of
     shifts = range((max(map(len, freqs), default=0) - 1) * bits, -1, -bits)
-    at = [{sym: code << shift for code, sym in enumerate(inv.code_symbols) if code}
+    at = [{char_of[sym]: code << shift for code, sym in enumerate(inv.code_symbols) if code}
           for shift in shifts]
     try:
         return {sum(map(dict.__getitem__, at, seq)): f for seq, f in freqs.items()}, shifts
@@ -316,21 +307,19 @@ def _passes(inv: Inventory, cfg: StudyConfig, shifts):
 
 def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: StudyConfig):
     """All minimal sequence pairs among the table's sequences, ordered by
-    (seq_a, seq_b, position); the pairs hold the table's own key objects.
-
-    Sequences pair up iff they have equal length and differ at exactly one
-    position whose two segments are consonants contrasting in exactly one
-    feature. Unordered orientation emits each pair once (lexicographically
-    smaller member first); ordered emits both orientations.
+    (seq_a, seq_b, position); the pairs of a sequence share one tuple,
+    its symbols, decoded once. Sequences pair up iff they have equal
+    length and differ at exactly one position whose two segments are
+    consonants contrasting in exactly one feature. Unordered orientation
+    emits each pair once (smaller member first); ordered emits both.
 
     A neighbour of a coded sequence a (see `_encode`) is a with one
     consonant swapped for one it contrasts with in exactly one feature,
     ``a + delta`` of a pass (see `_passes`); it pairs with a iff it is in
     the table. The cost grows with the number of sequences and the degree
-    of the pair relation.
-    """
+    of the pair relation."""
     coded, shifts = _encode(table.freqs, inv)
-    seqs = dict(zip(coded, table.freqs))
+    seqs = dict(zip(coded, map(inv.decode, table.freqs)))
     mask = (1 << inv.code_bits) - 1
     passes = _passes(inv, cfg, shifts)
     get = coded.get
@@ -368,7 +357,7 @@ def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
     ``[weighted, pairs]`` slot per feature, and the row is picked once per
     sequence and pass, at the pass's first pair. Under frame, a row is
     keyed by the coded frame, and a frame's tuple is made with `frame_of`
-    from the sequence and position of its first pair. Any other scheme's
+    from the decoded first pair's sequence and position. Any other scheme's
     context depends only on the hole's position and the code after it,
     padding 0 included (see `scheme_key`). So before the walk, each pass
     maps every next code to the row of its context, shared by the passes
@@ -417,7 +406,7 @@ def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
                         slot[1] += 1
     if scheme == "frame":  # a shift's index in `shifts` is its position
         seqs = dict(zip(coded, table.freqs))
-        rows = {frame_of(seqs[a], shifts.index(shift)): row for a, shift, row in frames}
+        rows = {frame_of(inv.decode(seqs[a]), shifts.index(shift)): row for a, shift, row in frames}
     del coded
     weighted = cfg.weighting == "type-frequency"
     times = 2 if cfg.orientation == "ordered" else 1
@@ -479,54 +468,51 @@ def list_pairs_for(pairs, feature, context, lex: Lexicon, inv: Inventory,
 
     if carriers is None:
         carriers = extract_sequences(lex, inv, cfg, carriers=True)[0].carriers
-    # The pairs, by the sequence each looks up in (see `_witnesses`); each
-    # group is served from one lookup, dropped before the next is built.
-    groups = {}
+    # The pairs as texts, by the text each looks up in (see `_witnesses`);
+    # each group is served from one lookup, dropped before the next is built.
+    char_of, groups = inv.char_of.__getitem__, {}
     for i, p in enumerate(matching):
-        flip = len(carriers.get(p.seq_a, ())) > len(carriers.get(p.seq_b, ()))
-        groups.setdefault(p.seq_a if flip else p.seq_b, []).append(i)
+        a, b = "".join(map(char_of, p.seq_a)), "".join(map(char_of, p.seq_b))
+        flip = len(carriers.get(a, ())) > len(carriers.get(b, ()))
+        groups.setdefault(a if flip else b, []).append((i, a, b))
     witnesses = [None] * len(matching)
     for seq, members in groups.items():
         lookup = {}
         for i, entry in enumerate(carriers.get(seq, ())):
-            lookup.setdefault(entry.transcription, []).append(i)
-        for i in members:
-            witnesses[i] = _witnesses(matching[i], carriers, lookup, limit)
+            lookup.setdefault(entry[1], []).append(i)
+        for i, a, b in members:
+            witnesses[i] = _witnesses(a, b, matching[i].position, carriers, lookup, limit)
     return [PairReportRow(p, w) for p, w in zip(matching, witnesses)]
 
 
-def _witnesses(pair, carriers, lookup, limit):
-    """Witness word pairs: words whose transcriptions differ only at the
-    pair's contrasting segment, at most `limit`, ordered by the carrier of
-    seq_a, then by the carrier of seq_b; without any, the first carriers of
-    each sequence.
+def _witnesses(seq_a, seq_b, position, carriers, lookup, limit):
+    """Witness word pairs of texts `seq_a` and `seq_b`, which differ at
+    `position`: words whose transcriptions differ only there, at most
+    `limit`, ordered by the carrier of seq_a, then by the carrier of seq_b;
+    without any, the first carriers of each sequence.
 
     Found by neighbour lookup from the side with fewer carriers: each of
-    its carriers, with one contrasting symbol swapped for the other, is
-    looked up among the carriers of the other side by transcription. A
-    swap is its own inverse, and two swapped positions give different
-    transcriptions, so either side finds each aligned pair once. `lookup`
-    maps each transcription of the other side's carriers to their indices;
-    the other side is seq_a when it has more carriers than seq_b, else
-    seq_b."""
-    wa = carriers.get(pair.seq_a, [])
-    wb = carriers.get(pair.seq_b, [])
-    a, b = pair.seq_a[pair.position], pair.seq_b[pair.position]
+    its carriers, with one contrasting character swapped for the other, is
+    looked up in `lookup`, which maps each transcription of the other
+    side's carriers (seq_a's if it has more, else seq_b's) to their
+    indices. A swap is its own inverse, and two swapped positions give
+    different transcriptions, so either side finds each aligned pair once."""
+    wa, wb = carriers.get(seq_a, []), carriers.get(seq_b, [])
+    a, b = seq_a[position], seq_b[position]
     swap = {a: b, b: a}
     flip = len(wa) > len(wb)  # scan wb, look up in wa
     scan = wb if flip else wa
     aligned = []  # (index in wa, index in wb)
-    for x, entry in enumerate(scan):
-        t = entry.transcription
+    for x, (_, t) in enumerate(scan):
         for k, sym in enumerate(t):
             if sym in swap:
-                for y in lookup.get(t[:k] + (swap[sym],) + t[k + 1:], ()):
+                for y in lookup.get(t[:k] + swap[sym] + t[k + 1:], ()):
                     aligned.append((y, x) if flip else (x, y))
     if aligned:
         aligned.sort()
-        return tuple((wa[i].orthography, wb[j].orthography) for i, j in aligned[:limit])
+        return tuple((wa[i][0], wb[j][0]) for i, j in aligned[:limit])
     if wa and wb:
-        return ((wa[0].orthography, wb[0].orthography),)
+        return ((wa[0][0], wb[0][0]),)
     return ()
 
 

@@ -204,6 +204,11 @@ class Inventory:
         self.codes = {s: c for c, s in enumerate(self.code_symbols)}
         self.code_bits = len(vm).bit_length()
 
+    def __reduce__(self):  # pickled and copied as the constructor's arguments, less `lines`
+        fs = self.feature_system  # its maps as dicts: a mappingproxy cannot be pickled
+        return Inventory, (list(map(Phoneme._make, self.vowel_map.items())), FeatureSystem(
+            fs.mode, dict(fs.pair_relation), dict(fs.bundles)), self.class_map)
+
     def _require_consonant(self, sym, entry, line):
         """Raise unless `sym` is a consonant; `entry` begins the message."""
         if sym not in self.vowel_map:

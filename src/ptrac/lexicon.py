@@ -146,13 +146,21 @@ def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
 
 
 def serialize_lexicon(lex: Lexicon) -> str:
-    """Inverse of parse_lexicon for well-formed lexicons (round-trips),
-    written in symbols. An entry whose orthography a line cannot hold
-    (empty, with a tab, "\n" or "\r", or read as a comment: "#" after any
-    leading whitespace) is a LexiconError naming it."""
-    decode, unwritable = lex.inventory.decode, re.compile(r"\A\Z|[\t\n\r]|\A\s*#").search
-    for ix, (o, _) in enumerate(lex._rows):
+    """Inverse of parse_lexicon, written in symbols. An entry the file would
+    read back otherwise is a LexiconError naming it: an orthography a line
+    cannot hold (empty, with a tab, "\n" or "\r", or a comment: "#" after
+    leading whitespace), or symbols that tokenize otherwise (`t`+`s`+`a`)."""
+    inv, unwritable = lex.inventory, re.compile(r"\A\Z|[\t\n\r]|\A\s*#").search
+    rows = [(o, inv.decode(t)) for o, t in lex._rows]
+    for ix, (o, symbols) in enumerate(rows):
         if unwritable(o):
             raise LexiconError("entry %d: orthography %r cannot be written to a lexicon line"
                                % (ix, o))
-    return "".join("%s\t%s\n" % (o, "".join(decode(t))) for o, t in lex._rows)
+        try:
+            read = tokenize_transcription("".join(symbols), inv)
+        except TokenizeError:  # empty, or a literal "?" symbol
+            read = None
+        if read != symbols:
+            raise LexiconError("entry %d: transcription %r would not read back as %r"
+                               % (ix, "".join(symbols), symbols))
+    return "".join("%s\t%s\n" % (o, "".join(symbols)) for o, symbols in rows)

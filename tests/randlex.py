@@ -85,6 +85,14 @@ def random_word(rng, inv, max_syllables=3, invalid_rate=0.1):
     return tuple(seq)
 
 
+def joined_lines(lex):
+    """The lexicon file of `lex`, each entry's symbols joined, as
+    `serialize_lexicon` writes it, but also where greedy longest match
+    reads a line back as other symbols, or none, which `serialize_lexicon`
+    refuses: the files that exercise such readings."""
+    return "".join("%s\t%s\n" % (e.orthography, "".join(e.transcription)) for e in lex.entries)
+
+
 def random_lexicon(rng, inv, max_words=200):
     entries = [
         LexEntry("w%d" % i, random_word(rng, inv))

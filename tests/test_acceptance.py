@@ -163,7 +163,7 @@ def test_criterion_4_syllabifier(persian):
 def test_criterion_5_counting(persian, fixture_lexicon):
     start = time.monotonic()
     # worked example: freqs 200 and 300 -> the voice cell at "_and" gains 200
-    table = SequenceTable(freqs={tuple("band"): 200, tuple("pand"): 300})
+    table = SequenceTable(freqs={"band": 200, "pand": 300})
     cfg = StudyConfig(kind="positions")
     pairs = enumerate_minimal_sequence_pairs(table, persian, cfg)
     matrix = count_contrasts(pairs, cfg)

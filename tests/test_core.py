@@ -20,7 +20,7 @@ from ptrac.core import MinimalSequencePair, SequenceTable
 
 
 def table_of(freqs):
-    return SequenceTable(freqs={tuple(seq): n for seq, n in freqs.items()})
+    return SequenceTable(freqs=dict(freqs))
 
 
 def joined(table):

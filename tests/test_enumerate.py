@@ -5,7 +5,9 @@ they replace.
 verbatim as the reference: it buckets the sequences by frame, compares the
 members of each bucket pairwise and sorts the result by (seq_a, seq_b,
 position). The engine must return the same list, in the same order, and
-every pair must hold the table's own key objects, not equal copies.
+all pairs of one sequence must share one tuple, the symbols that
+`inv.decode` gives for the sequence's text key. The reference reads the
+table's text keys through `inv.decode`.
 """
 
 import sys
@@ -27,8 +29,9 @@ def bucket_pairs(table: SequenceTable, inv: Inventory, cfg: StudyConfig):
     # Bucket by frame: two sequences differ at exactly one position iff
     # they share exactly one frame, so buckets cover every pair once.
     is_vowel = inv.vowel_map
+    freqs = {inv.decode(key): f for key, f in table.freqs.items()}
     buckets = {}
-    for seq in table.freqs:
+    for seq in freqs:
         for pos, sym in enumerate(seq):
             if is_vowel[sym]:
                 continue
@@ -46,7 +49,7 @@ def bucket_pairs(table: SequenceTable, inv: Inventory, cfg: StudyConfig):
                     continue
                 if cfg.feature is not None and feature != cfg.feature:
                     continue
-                weight = min(table.freqs[a], table.freqs[b])
+                weight = min(freqs[a], freqs[b])
                 pairs.append(MinimalSequencePair(a, b, pos, feature, weight))
                 if cfg.orientation == "ordered":
                     pairs.append(MinimalSequencePair(b, a, pos, feature, weight))
@@ -60,16 +63,20 @@ def check_case(inv, lex):
     seen = 0
     for kind in ("clusters", "positions"):
         table, _ = extract_sequences(lex, inv, StudyConfig(kind=kind))
-        keys = {seq: seq for seq in table.freqs}
+        char_of = inv.char_of.__getitem__
         for orientation in ("unordered", "ordered"):
             for feature in (None, "manner", "place", "voice"):
                 cfg = StudyConfig(kind=kind, orientation=orientation, feature=feature)
                 got = enumerate_minimal_sequence_pairs(table, inv, cfg)
                 want = bucket_pairs(table, inv, cfg)
                 assert [tuple(p) for p in got] == [tuple(p) for p in want], cfg
+                shared = {}  # sequence -> the one tuple its pairs hold
                 for p in got:
                     assert type(p) is MinimalSequencePair
-                    assert keys[p.seq_a] is p.seq_a and keys[p.seq_b] is p.seq_b
+                    for seq in (p.seq_a, p.seq_b):
+                        assert shared.setdefault(seq, seq) is seq
+                        key = "".join(map(char_of, seq))
+                        assert key in table.freqs and seq == inv.decode(key)
                 seen += len(got)
     return seen
 

@@ -1,6 +1,8 @@
 """Inventory parsing and the featural minimal-pair relation."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +17,7 @@ from ptrac import (
     parse_inventory,
 )
 from ptrac.inventory import FeatureSystem, Phoneme
+from ptrac.lexicon import read_entries
 
 
 def test_shipped_inventory_shape(persian):
@@ -442,3 +445,30 @@ def test_every_inventory_text_parses_or_raises_inventory_error(text):
         return
     assert isinstance(inv, Inventory)
     _assert_relation_table(inv)
+
+
+@pytest.mark.parametrize("copy_of", [lambda inv: pickle.loads(pickle.dumps(inv)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("multichar", [False, True], ids=["one-char", "multichar"])
+def test_inventory_pickles_and_copies(copy_of, multichar):
+    # rebuilt from its constructor's arguments, also with a private code
+    from ptrac import StudyConfig, run_study
+    from ptrac.report import RenderSpec, render
+
+    text = data.persian_inventory_text()
+    if multichar:
+        text = text.replace("[phonemes]\n", "[phonemes]\nŋŋ vowel\n", 1)
+    inv = parse_inventory(text)
+    other = copy_of(inv)
+    assert other is not inv and other.char_of == inv.char_of
+    assert (other.vowel_map, other.relation, other.class_map, other.feature_system) == (
+        inv.vowel_map, inv.relation, inv.class_map, inv.feature_system)
+    symbols = ("n", "ŋŋ" if multichar else "a")
+    assert other.decode("".join(map(other.char_of.get, symbols))) == symbols
+    lexicon = data.voicing_fixture_text()
+    for kind, scheme, fmt in (("clusters", "frame", "csv"), ("positions", "position", "json"),
+                              ("clusters", "following-class", "svg")):
+        cfg = StudyConfig(kind=kind)
+        printed = [render(run_study(read_entries(lexicon, i, []), i, cfg, scheme=scheme).matrix,
+                          RenderSpec(fmt, scheme), inv=i).encode("utf-8") for i in (inv, other)]
+        assert printed[0] == printed[1] and printed[0]

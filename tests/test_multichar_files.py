@@ -13,11 +13,11 @@ import pytest
 
 import ptrac
 from ptrac import PtracError, StudyConfig, StudyError, data, parse_inventory, parse_lexicon
-from ptrac import serialize_lexicon, syllabify, tokenize_transcription
+from ptrac import syllabify, tokenize_transcription
 from ptrac.core import FORMATS, KINDS, SCHEMES
 from ptrac.oracle import oracle_matrix
 from ptrac.report import RenderSpec, render
-from randlex import make_case
+from randlex import joined_lines, make_case
 from test_cli import inventory_text, run
 
 SRC = str(Path(ptrac.__file__).resolve().parent.parent)
@@ -25,9 +25,9 @@ SRC = str(Path(ptrac.__file__).resolve().parent.parent)
 
 def multichar_files(tmp_path, seed):
     """The inventory and lexicon files of `make_case(seed, mode="multichar")`,
-    the lexicon serialized with one more word, whose three-consonant coda
-    `syllabify` rejects, spelled with multi-character symbols where the
-    inventory has them."""
+    the lexicon written by `joined_lines`, with one more word, whose
+    three-consonant coda `syllabify` rejects, spelled with multi-character
+    symbols where the inventory has them."""
     inv, lex = make_case(seed, mode="multichar")
     cons = sorted(inv.consonants, key=len, reverse=True)
     long_coda = "".join((cons[0], max(inv.vowels, key=len), cons[1], cons[0], cons[1]))
@@ -36,7 +36,7 @@ def multichar_files(tmp_path, seed):
     assert len(cons[0]) > 1
     inv_file, lex_file = tmp_path / "multi.inv", tmp_path / "multi.tsv"
     inv_file.write_text(inventory_text(inv), encoding="utf-8")
-    lex_file.write_text(serialize_lexicon(lex) + "long\t%s\n" % long_coda, encoding="utf-8")
+    lex_file.write_text(joined_lines(lex) + "long\t%s\n" % long_coda, encoding="utf-8")
     return inv_file, lex_file
 
 

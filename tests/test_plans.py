@@ -2,14 +2,22 @@
 word's consonant/vowel skeleton instead of syllabifying it. Held here to a
 reference that syllabifies every entry, as extraction used to."""
 
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ptrac.core
-from ptrac import Inventory, Lexicon, LexEntry, PtracError, StudyConfig, syllabify
+from ptrac import Inventory, Lexicon, LexEntry, PtracError, StudyConfig, data, parse_inventory
+from ptrac import run_study, syllabify
 from ptrac.core import KINDS, ExcludedEntry, extract_sequences
 from ptrac.inventory import FeatureSystem, Phoneme
+from ptrac.lexicon import read_entries
 from randlex import make_case
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import generate  # noqa: E402
 
 
 def reference_entry_sequences(entry, inv, kind):
@@ -40,21 +48,28 @@ def reference_extract(lex, inv, kind):
 
 
 def assert_plans_match(lex, inv):
+    """The table's text keys, read through `inv.decode`, and its carriers
+    equal the reference's."""
+    decode, char_of = inv.decode, inv.char_of.__getitem__
     for kind in KINDS:
         want_freqs, want_excluded, want_carriers = reference_extract(lex, inv, kind)
         for carriers in (False, True):
             table, excluded = extract_sequences(lex, inv, StudyConfig(kind=kind),
                                                 carriers=carriers)
-            assert list(table.freqs.items()) == list(want_freqs.items())  # insertion order too
+            # insertion order too
+            assert [(decode(k), f) for k, f in table.freqs.items()] == list(want_freqs.items())
             assert excluded == want_excluded  # exclusion messages too
             if not carriers:
                 assert table.carriers is None
                 continue
-            assert list(table.carriers) == list(want_carriers)
+            assert list(map(decode, table.carriers)) == list(want_carriers)
             for seq, entries in want_carriers.items():
-                got = table.carriers[seq]
+                got = table.carriers["".join(map(char_of, seq))]
                 assert len(got) == len(entries)
-                assert all(g is e for g, e in zip(got, entries))  # the lexicon's own entries
+                # the lexicon's own entries, their transcriptions as text
+                assert all(type(g) is tuple
+                           and g == (e.orthography, "".join(map(char_of, e.transcription)))
+                           for g, e in zip(got, entries))
 
 
 @pytest.mark.parametrize("mode", ["pair-list", "vector", "multichar"])
@@ -166,3 +181,30 @@ def test_extraction_syllabifies_only_rejected_entries(monkeypatch):
         _, excluded = extract_sequences(lex, inv, StudyConfig(kind=kind))
         assert excluded
         assert calls == [lex.entries[ex.index].transcription for ex in excluded]
+
+
+@pytest.mark.parametrize("case", ["positions-cvcc-20k", "multichar"])
+def test_run_study_decodes_no_sequence(monkeypatch, case):
+    # Sequences stay text from extraction through a count under a scheme
+    # other than frame: `inv.decode` reads only what `syllable_spans` reads,
+    # once per distinct skeleton, and what `syllabify` reads, once per
+    # excluded entry.
+    if case == "multichar":
+        inv, lex = make_case(1, mode="multichar")
+        texts = ["".join(map(inv.char_of.__getitem__, e.transcription)) for e in lex.entries]
+    else:
+        inv = parse_inventory(data.persian_inventory_text())
+        text = generate(case, 11, sorted(inv.consonants), sorted(inv.vowels)).text
+        texts = [t for _, t in read_entries(text, inv, [])]
+    skeletons = len({t.translate(inv.skeleton_table) for t in texts})
+    calls = []
+    decode = inv.decode
+    monkeypatch.setattr(inv, "decode", lambda t: calls.append(t) or decode(t))
+    for kind, scheme in (("clusters", "following-segment"), ("positions", "total")):
+        calls.clear()
+        entries = lex if case == "multichar" else read_entries(text, inv, [])
+        report = run_study(entries, inv, StudyConfig(kind=kind), scheme=scheme)
+        assert report.counts["pairs"] and calls
+        assert len(calls) <= skeletons + len(report.excluded)
+    if case != "multichar":  # 110 skeletons, 31,558 distinct syllables
+        assert len(calls) * 100 < len(report.table)

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 
 from ptrac import (
-    LexEntry,
     StudyConfig,
     StudyError,
     data,
@@ -25,7 +24,7 @@ from ptrac import (
 )
 from ptrac.core import KINDS
 from ptrac.lexicon import read_entries
-from randlex import hostile_case, make_case, random_word
+from randlex import hostile_case, joined_lines, make_case, random_word
 from test_lexicon import lexicon_text
 from test_plans import reference_extract
 from test_walk import wide_case
@@ -54,9 +53,11 @@ PERSIAN_MULTI = multichar(data.persian_inventory_text())
 def assert_streams_like_parse(text, inv):
     """Both study kinds, with and without carriers: extraction from
     `read_entries` equals extraction from `parse_lexicon` and the
-    reference; `read_entries` yields text for every inventory. The parsed
-    Lexicon is extracted both before its `entries` are read (`fresh`,
-    still as read) and after (`lex`, whose entries the reference reads)."""
+    reference, whose keys and carriers are read through `inv.decode`;
+    `read_entries` yields text for every inventory. The parsed Lexicon is
+    extracted both before its `entries` are read (`fresh`, still as read)
+    and after (`lex`, whose entries the reference reads)."""
+    decode = inv.decode
     lex, want_diags = parse_lexicon(text, inv)
     fresh, _ = parse_lexicon(text, inv)
     diags = []
@@ -75,18 +76,23 @@ def assert_streams_like_parse(text, inv):
             assert diags == want_diags
             assert list(got.freqs.items()) == list(want.freqs.items())  # key order too
             assert list(got.freqs.items()) == list(as_read.freqs.items())
-            assert list(got.freqs.items()) == list(want_freqs.items())
-            assert all(type(seq) is tuple for seq in got.freqs)
-            assert all(type(seq) is tuple for seq in as_read.freqs)
+            assert [(decode(k), f) for k, f in got.freqs.items()] == list(want_freqs.items())
+            assert all(type(seq) is str for seq in got.freqs)
+            assert all(type(seq) is str for seq in as_read.freqs)
             assert excluded == want_ex == as_read_ex == want_excluded  # codes too
             if not carriers:
                 assert got.carriers is None and as_read.carriers is None
                 continue
             assert list(got.carriers.items()) == list(want.carriers.items())
             assert list(got.carriers.items()) == list(as_read.carriers.items())
-            assert list(got.carriers.items()) == list(want_carriers.items())
-            assert all(type(e) is LexEntry for es in got.carriers.values() for e in es)
-            assert all(type(e) is LexEntry for es in as_read.carriers.values() for e in es)
+            assert [(decode(k), [(o, decode(t)) for o, t in es])
+                    for k, es in got.carriers.items()] == list(want_carriers.items())
+            assert all(type(e) is tuple and type(e[1]) is str
+                       for es in got.carriers.values() for e in es)
+            assert all(type(e) is tuple and type(e[1]) is str
+                       for es in as_read.carriers.values() for e in es)
+            rows = set(map(id, fresh._rows))  # the carriers are the rows as read
+            assert all(id(e) in rows for es in as_read.carriers.values() for e in es)
     assert fresh.entries == lex.entries
 
 
@@ -101,7 +107,7 @@ def test_mixed_lexicon(inv):
     table, excluded = extract_sequences(read_entries(MIXED, inv, []), inv,
                                         StudyConfig(kind="clusters"))
     assert [e.orthography for e in excluded] == ["akt", "sart", "brak"]
-    assert table.freqs[("'", "b")] == 1 and table.freqs[("n", "d")] == 3
+    assert table.freqs["'b"] == 1 and table.freqs["nd"] == 3
 
 
 @pytest.mark.parametrize("inv", [PERSIAN, PERSIAN_MULTI], ids=["one-char", "multichar"])
@@ -113,14 +119,14 @@ def test_fixture(inv):
 @pytest.mark.parametrize("seed", range(10))
 def test_randlex(seed, mode):
     inv, lex = make_case(seed, mode=mode)
-    assert_streams_like_parse(serialize_lexicon(lex), inv)
+    assert_streams_like_parse(joined_lines(lex), inv)
 
 
 @settings(deadline=None, max_examples=60)
 @given(hostile_case())
 def test_hostile(case):
     inv, lex = case
-    assert_streams_like_parse(serialize_lexicon(lex), inv)
+    assert_streams_like_parse(joined_lines(lex), inv)
 
 
 @settings(deadline=None, max_examples=150)

@@ -84,7 +84,7 @@ def test_scheme_count_codes_wider_than_six_bits(n_cons):
 SEQS = [(), ("b",), ("p",), ("n",), ("b", "a"), ("p", "a"), ("b", "a", "d"),
         ("b", "a", "t"), ("p", "a", "d"), ("b", "a", "d", "a"), ("d", "a", "d", "a"),
         ("b", "a", "b", "a", "p"), ("b", "a", "b", "a", "b")]
-TABLE = SequenceTable(freqs={s: len(s) + 1 for s in reversed(SEQS)})
+TABLE = SequenceTable(freqs={"".join(s): len(s) + 1 for s in reversed(SEQS)})
 
 
 def test_scheme_count_mixed_lengths(mini):

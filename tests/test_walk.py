@@ -6,9 +6,10 @@ sequences differ in length, so that codes are padded on the right.
 counts in `_count_table`, whose own loop makes the same lookups over the
 same passes (`_encode`, `_passes`).
 
-Pairs are held to `bucket_pairs`, the frame-bucket reference, in order and
-key objects; the cells of `_count_table` to `count_contrasts` of those
-pairs."""
+Pairs are held to `bucket_pairs`, the frame-bucket reference, in order,
+and each sequence to one tuple, that of its decoded text key; the cells of
+`_count_table` to `count_contrasts` of those pairs. Hand-built tables are
+keyed by text, as extraction keys them."""
 
 import itertools
 import random
@@ -34,15 +35,20 @@ CONFIGS = [
 
 
 def check_pairs(table, inv, cfg):
-    """The walk's pairs equal `bucket_pairs`, hold the table's own keys,
-    and count to the same cells as `count_contrasts` of the reference."""
+    """The walk's pairs equal `bucket_pairs`, hold one tuple per sequence,
+    the decoded text key, and count to the same cells as `count_contrasts`
+    of the reference."""
     want = bucket_pairs(table, inv, cfg)
     got = enumerate_minimal_sequence_pairs(table, inv, cfg)
     assert [tuple(p) for p in got] == [tuple(p) for p in want], cfg
-    keys = {seq: seq for seq in table.freqs}
+    char_of = inv.char_of.__getitem__
+    shared = {}  # sequence -> the one tuple its pairs hold
     for p in got:
         assert type(p) is MinimalSequencePair
-        assert keys[p.seq_a] is p.seq_a and keys[p.seq_b] is p.seq_b
+        for seq in (p.seq_a, p.seq_b):
+            assert shared.setdefault(seq, seq) is seq
+            key = "".join(map(char_of, seq))
+            assert key in table.freqs and seq == inv.decode(key)
     matrix = _count_table(table, inv, cfg)
     assert matrix.cells == count_contrasts(want, cfg).cells, cfg
     return len(got)
@@ -98,7 +104,7 @@ def test_walk_mixed_lengths_by_hand(mini):
     seqs = [(), ("b",), ("p",), ("n",), ("b", "a"), ("p", "a"), ("b", "a", "d"),
             ("b", "a", "t"), ("p", "a", "d"), ("b", "a", "d", "a"), ("d", "a", "d", "a"),
             ("b", "a", "b", "a", "p"), ("b", "a", "b", "a", "b")]
-    table = SequenceTable(freqs={s: len(s) + 1 for s in reversed(seqs)})
+    table = SequenceTable(freqs={"".join(s): len(s) + 1 for s in reversed(seqs)})
     for cfg in MIXED_CONFIGS:
         check_pairs(table, mini, cfg)
     pairs = enumerate_minimal_sequence_pairs(table, mini, StudyConfig())
@@ -113,7 +119,7 @@ def test_walk_mixed_lengths_by_hand(mini):
 
 
 @settings(deadline=None)
-@given(st.dictionaries(st.lists(st.sampled_from(MIXED), max_size=5).map(tuple),
+@given(st.dictionaries(st.lists(st.sampled_from(MIXED), max_size=5).map("".join),
                        st.integers(1, 4), max_size=40))
 def test_walk_mixed_lengths(mini, freqs):
     table = SequenceTable(freqs=freqs)
@@ -123,9 +129,9 @@ def test_walk_mixed_lengths(mini, freqs):
 
 @pytest.mark.parametrize("seq", [("b", "Q"), ("b", "_")])
 def test_walk_rejects_symbols_outside_the_inventory(mini, seq):
-    """A hand-built table may hold any tuple; the hole would code as the
-    padding of ("b",)."""
-    table = SequenceTable(freqs={("b",): 1, seq: 1})
+    """A hand-built table may hold any text; the hole would code as the
+    padding of "b"."""
+    table = SequenceTable(freqs={"b": 1, "".join(seq): 1})
     for study in (enumerate_minimal_sequence_pairs, _count_table):
         with pytest.raises(StudyError, match="sequence symbol %r is not in the inventory"
                            % seq[1]):

@@ -165,7 +165,7 @@ def test_witnesses_alike_whichever_side_is_scanned(persian, words, more_a, limit
     lex = drill_lexicon(persian, words)
     cfg = StudyConfig()
     table, _ = extract_sequences(lex, persian, cfg, carriers=True)
-    wa, wb = table.carriers[("s", "n")], table.carriers[("z", "n")]
+    wa, wb = table.carriers["sn"], table.carriers["zn"]
     assert (len(wa) > len(wb)) == more_a
     pairs = enumerate_minimal_sequence_pairs(table, persian, cfg)
     rows = list_pairs_for(pairs, "voice", "_n", lex, persian, cfg, limit=limit,
