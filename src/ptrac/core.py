@@ -55,37 +55,16 @@ class StudyConfig(namedtuple("StudyConfig", "kind weighting orientation feature"
         return cls(*iterable)
 
 
-class _Record:
-    """Base of the mutable records: the fields are the `__slots__`, in
-    order. Records of one class are equal when their fields are, and
-    unhashable, as a field may change."""
+class SequenceTable(namedtuple("SequenceTable", "freqs carriers")):
+    """Map from segment sequence, as text (see `extract_sequences`), to its
+    type frequency: `freqs`, text -> occurrence count. `carriers`, when
+    extraction was asked for it, maps text -> [entry], in lexicon order,
+    one per occurrence; else it is None. Left out, `freqs` is a new dict."""
 
     __slots__ = ()
-    __hash__ = None
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        fields = self.__slots__
-        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
-
-    def __repr__(self):
-        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
-
-
-class SequenceTable(_Record):
-    """Map from segment sequence, as text (see `extract_sequences`), to its
-    type frequency, and, when extraction was asked for it, to its carriers."""
-
-    __slots__ = ("freqs", "carriers")
-
-    def __init__(self, freqs=None, carriers=None):
-        self.freqs = {} if freqs is None else freqs  # text -> occurrence count
-        self.carriers = carriers  # text -> [entry], in lexicon order, one per occurrence
-
-    def __len__(self):
-        return len(self.freqs)
+    def __new__(cls, freqs=None, carriers=None):
+        return super().__new__(cls, {} if freqs is None else freqs, carriers)
 
 
 class ExcludedEntry(NamedTuple):
@@ -111,29 +90,24 @@ class MinimalSequencePair(NamedTuple):
         return context_text(frame_of(self.seq_a, self.position))
 
 
-class Cell(_Record):
-    __slots__ = ("weighted", "pairs")
-
-    def __init__(self, weighted=0, pairs=0):
-        self.weighted = weighted
-        self.pairs = pairs
+class Cell(NamedTuple):
+    weighted: int = 0
+    pairs: int = 0
 
 
-class ContrastMatrix(_Record):
-    """Grid of contrast counts indexed by (context key, feature); the keys
-    are those of `scheme_key`, frame tuples under the frame scheme."""
+class ContrastMatrix(namedtuple("ContrastMatrix", "cells features scheme kind pairs_found")):
+    """Grid of contrast counts: `cells` maps (context key, feature) to a
+    Cell; the keys are those of `scheme_key`, frame tuples under the frame
+    scheme. `pairs_found` counts every pair the count of `run_study`
+    found, also those the scheme gives no cell; it is None on a matrix from
+    `count_contrasts` or `aggregate`. Left out, `cells` is a new dict."""
 
-    __slots__ = ("cells", "features", "scheme", "kind", "pairs_found")
+    __slots__ = ()
 
-    def __init__(self, cells=None, features=FEATURES, scheme="frame", kind="clusters",
-                 pairs_found=None):
-        self.cells = {} if cells is None else cells  # (context, feature) -> Cell
-        self.features = features
-        self.scheme = scheme
-        self.kind = kind
-        # every pair the count of `run_study` found, also those the scheme
-        # gives no cell; None on a matrix from `count_contrasts` or `aggregate`
-        self.pairs_found = pairs_found
+    def __new__(cls, cells=None, features=FEATURES, scheme="frame", kind="clusters",
+                pairs_found=None):
+        return super().__new__(cls, {} if cells is None else cells, features, scheme, kind,
+                               pairs_found)
 
     def contexts(self):
         """Context keys in the order of their rendered text."""
@@ -141,13 +115,6 @@ class ContrastMatrix(_Record):
 
     def cell(self, context, feature) -> Cell:
         return self.cells.get((context, feature), Cell())
-
-    def add(self, context, feature, weighted, pairs=1):
-        cell = self.cells.get((context, feature))
-        if cell is None:
-            cell = self.cells[context, feature] = Cell()
-        cell.weighted += weighted
-        cell.pairs += pairs
 
 
 def frame_of(seq, position) -> tuple:
@@ -337,12 +304,21 @@ def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: 
 
 def count_contrasts(pairs, cfg: StudyConfig) -> ContrastMatrix:
     """Accumulate pairs into the frame-granularity contrast matrix."""
-    features = (cfg.feature,) if cfg.feature else FEATURES
-    matrix = ContrastMatrix(features=features, scheme="frame", kind=cfg.kind)
-    weighted = cfg.weighting == "type-frequency"
+    index, ws, ns = {}, [], []  # (frame, feature) -> its sums' index in ws and ns
     for a, _, pos, feature, weight in pairs:
-        matrix.add(frame_of(a, pos), feature, weight if weighted else 1)
-    return matrix
+        key = frame_of(a, pos), feature
+        i = index.get(key)
+        if i is None:
+            index[key] = len(ns)
+            ws.append(weight)
+            ns.append(1)
+        else:
+            ws[i] += weight
+            ns[i] += 1
+    weighted = cfg.weighting == "type-frequency"
+    return ContrastMatrix(cells=dict(zip(index, map(Cell, ws if weighted else ns, ns))),
+                          features=(cfg.feature,) if cfg.feature else FEATURES,
+                          scheme="frame", kind=cfg.kind)
 
 
 def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
@@ -428,12 +404,21 @@ def aggregate(matrix: ContrastMatrix, scheme: str, inv: Inventory = None) -> Con
     key_of = scheme_key(scheme, matrix.kind, inv)
     if matrix.scheme != "frame":
         raise StudyError("matrix already aggregated (%s)" % matrix.scheme)
-    out = ContrastMatrix(features=matrix.features, scheme=scheme, kind=matrix.kind)
-    for (frame, feature), cell in matrix.cells.items():
-        key = key_of(frame, frame.index(HOLE))
-        if key is not None:
-            out.add(key, feature, cell.weighted, cell.pairs)
-    return out
+    index, ws, ns = {}, [], []  # as in `count_contrasts`
+    for (frame, feature), (w, n) in matrix.cells.items():
+        ctx = key_of(frame, frame.index(HOLE))
+        if ctx is not None:
+            key = ctx, feature
+            i = index.get(key)
+            if i is None:
+                index[key] = len(ns)
+                ws.append(w)
+                ns.append(n)
+            else:
+                ws[i] += w
+                ns[i] += n
+    return ContrastMatrix(cells=dict(zip(index, map(Cell, ws, ns))), features=matrix.features,
+                          scheme=scheme, kind=matrix.kind)
 
 
 class PairReportRow(NamedTuple):
@@ -524,7 +509,7 @@ class StudyReport(NamedTuple):
     @property
     def counts(self):
         return {
-            "sequences": len(self.table),
+            "sequences": len(self.table.freqs),
             "occurrences": sum(self.table.freqs.values()),
             "pairs": self.matrix.pairs_found,
             "excluded_entries": len(self.excluded),

@@ -74,6 +74,9 @@ class FeatureSystem(NamedTuple):
     # vector mode: symbol -> (manner, place, voice) labels
     bundles: dict = _EMPTY
 
+    def __reduce__(self):  # its maps as dicts: a mappingproxy cannot be pickled
+        return FeatureSystem, (self.mode, dict(self.pair_relation), dict(self.bundles))
+
 
 class Inventory:
     """Immutable after construction; safe for concurrent reads.
@@ -205,9 +208,8 @@ class Inventory:
         self.code_bits = len(vm).bit_length()
 
     def __reduce__(self):  # pickled and copied as the constructor's arguments, less `lines`
-        fs = self.feature_system  # its maps as dicts: a mappingproxy cannot be pickled
-        return Inventory, (list(map(Phoneme._make, self.vowel_map.items())), FeatureSystem(
-            fs.mode, dict(fs.pair_relation), dict(fs.bundles)), self.class_map)
+        return Inventory, (list(map(Phoneme._make, self.vowel_map.items())),
+                           self.feature_system, self.class_map)
 
     def _require_consonant(self, sym, entry, line):
         """Raise unless `sym` is a consonant; `entry` begins the message."""

@@ -70,12 +70,7 @@ def oracle_matrix(lex: Lexicon, inv: Inventory, cfg: StudyConfig) -> ContrastMat
     for seq in distinct:
         freq[seq] = sum(1 for s in sequences if s == seq)
 
-    features = (cfg.feature,) if cfg.feature else None
-    matrix = ContrastMatrix(
-        features=features or ("manner", "place", "voice"),
-        scheme="frame",
-        kind=cfg.kind,
-    )
+    sums = {}  # (frame, feature) -> (weighted, pairs)
     for a in distinct:
         for b in distinct:
             if cfg.orientation == "unordered" and not a < b:
@@ -100,7 +95,12 @@ def oracle_matrix(lex: Lexicon, inv: Inventory, cfg: StudyConfig) -> ContrastMat
                 w = freq[a] if freq[a] < freq[b] else freq[b]
             else:
                 w = 1
-            cell = matrix.cells.setdefault((frame, feature), Cell())
-            cell.weighted += w
-            cell.pairs += 1
-    return matrix
+            weighted, pairs = sums.get((frame, feature), (0, 0))
+            sums[frame, feature] = (weighted + w, pairs + 1)
+    features = (cfg.feature,) if cfg.feature else None
+    return ContrastMatrix(
+        cells={key: Cell(*s) for key, s in sums.items()},
+        features=features or ("manner", "place", "voice"),
+        scheme="frame",
+        kind=cfg.kind,
+    )

@@ -1,5 +1,6 @@
 """One property over the whole CLI: every input ends in parseable output
-and exit 0, or a message and exit 2; exit 1 only for a usage error."""
+and exit 0, or a message and exit 2; exit 1 only for a usage error or an
+`--out` file that cannot be written."""
 
 import contextlib
 import csv
@@ -10,7 +11,7 @@ import tempfile
 import xml.dom.minidom
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ptrac import FEATURES, data
 from ptrac.cli import cli_main
@@ -30,6 +31,9 @@ VOWELS = ["a", "e", "o", "ai"]
 WORDS = ["band", "pand", "sard", "sart", "hosn", "hozn", "kabk", "kapk", "dast", "dazd",
          "akt", "brak"]
 CONTEXTS = ["_r", "_n", "_d", "b_", "C1", "C2", "C3", "liquid", "nasal", "total", "_", ""]
+# `analyze --out` targets, relative to the run's temporary folder: a new
+# file, and a file in a directory that does not exist
+OUT_FILE, OUT_MISSING = "out.txt", "missing/out.txt"
 
 syllable = st.tuples(st.sampled_from(CONSONANTS), st.sampled_from(VOWELS),
                      st.lists(st.sampled_from(CONSONANTS), max_size=3)).map(
@@ -81,7 +85,8 @@ def argvs(draw):
                 *_option(draw, "--weighting", WEIGHTINGS),
                 *_option(draw, "--orientation", ORIENTATIONS),
                 *_option(draw, "--feature", FEATURES),
-                *(["--strict"] if draw(st.integers(0, 4)) == 0 else [])], True
+                *(["--strict"] if draw(st.integers(0, 4)) == 0 else []),
+                *_option(draw, "--out", [OUT_FILE, OUT_MISSING])], True
     return ["list-pairs", *study, "--feature", draw(st.sampled_from(FEATURES)),
             "--context", draw(st.one_of(st.sampled_from(CONTEXTS), loose)),
             *_option(draw, "--scheme", SCHEMES),
@@ -133,11 +138,20 @@ _NOT_UTF8 = re.compile(r"error: line (\d+): byte 0x([0-9a-f]{2}) at offset (\d+)
 SHIPPED = st.just(data.persian_inventory_text())
 
 
+# A run that gets as far as its output, so each `--out` target is tried on every run.
+OUT_RUN = dict(inventory=data.persian_inventory_text(), inventory_bom=False,
+               lexicon="".join("%s\t%s\n" % (w, w) for w in WORDS).encode())
+OUT_ARGV = ["analyze", "--study", "clusters", "--format", "csv", "--aggregate", "frame", "--out"]
+
+
 @settings(max_examples=200, deadline=None)
+@example(**OUT_RUN, command=(OUT_ARGV + [OUT_FILE], True))
+@example(**OUT_RUN, command=(OUT_ARGV + [OUT_MISSING], True))
 @given(inventory=st.one_of(SHIPPED, SHIPPED, inventory_texts()),
        inventory_bom=st.booleans(), lexicon=lexicon_bytes(), command=argvs())
 def test_every_cli_run_ends_in_output_or_exit_2(inventory, inventory_bom, lexicon, command):
     argv, reads_lexicon = command
+    target = argv[argv.index("--out") + 1] if "--out" in argv else None
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as folder:
         inv_path, lex_path = Path(folder, "inv.inv"), Path(folder, "lex.tsv")
@@ -145,15 +159,25 @@ def test_every_cli_run_ends_in_output_or_exit_2(inventory, inventory_bom, lexico
         lex_path.write_bytes(lexicon)
         argv = argv[:1] + ["--inventory", str(inv_path)] \
             + (["--lexicon", str(lex_path)] if reads_lexicon else []) + argv[1:]
+        if target:
+            argv[argv.index("--out") + 1] = str(Path(folder, target))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(argv)
+        path = Path(folder, target or OUT_FILE)
+        written = path.read_text(encoding="utf-8") if path.exists() else None
     out, err = out.getvalue(), err.getvalue()
     assert "Traceback" not in err
+    # only a successful run into a file it could write leaves one
+    assert (written is not None) == (code == 0 and target == OUT_FILE)
     if code == 0:
-        _check_stdout(argv, out)
+        assert target is None or out == ""
+        _check_stdout(argv, out if target is None else written)
     elif code == 2:
         assert "error: " in err
         assert argv[0] == "syllabify" or out == ""
+    elif target == OUT_MISSING and not err.startswith("usage: "):
+        # the file could not be opened: a message, no output
+        assert code == 1 and err.splitlines()[-1].startswith("error: ") and out == "", (code, err)
     else:  # an argparse usage error: a word or context that reads as an option
         assert code == 1 and err.startswith("usage: "), (code, err)
     bad = _NOT_UTF8.fullmatch(err)

@@ -39,7 +39,7 @@ def test_fixture_cluster_table(fixture_lexicon, persian):
 def test_cv_word_contributes_nothing(persian):
     lex = Lexicon([LexEntry("ba", ("b", "a"))], persian)
     table, _ = extract_sequences(lex, persian, StudyConfig())
-    assert len(table) == 0
+    assert len(table.freqs) == 0
 
 
 def test_position_study_sequences(persian):
@@ -243,7 +243,7 @@ def test_empty_lexicon_gives_empty_report(persian):
     cfg = StudyConfig()
     report = run_study(Lexicon([], persian), persian, cfg)
     pairs = enumerate_minimal_sequence_pairs(report.table, persian, cfg)
-    assert len(report.table) == 0 and pairs == [] and not report.matrix.cells
+    assert len(report.table.freqs) == 0 and pairs == [] and not report.matrix.cells
 
 
 def test_feature_filter(fixture_lexicon, persian):

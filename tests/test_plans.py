@@ -207,4 +207,4 @@ def test_run_study_decodes_no_sequence(monkeypatch, case):
         assert report.counts["pairs"] and calls
         assert len(calls) <= skeletons + len(report.excluded)
     if case != "multichar":  # 110 skeletons, 31,558 distinct syllables
-        assert len(calls) * 100 < len(report.table)
+        assert len(calls) * 100 < len(report.table.freqs)

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from ptrac import Inventory, Lexicon, LexEntry, StudyConfig, StudyError, aggregate, run_study
-from ptrac.core import ContrastMatrix, context_text
+from ptrac.core import Cell, ContrastMatrix, context_text
 from ptrac.inventory import FeatureSystem, Phoneme
 from ptrac.report import CSV_HEADER, RenderSpec, render
 
@@ -116,9 +116,7 @@ def test_svg_single_position_group(persian):
 
 
 def test_svg_column_limit(persian):
-    m = ContrastMatrix()
-    for i in range(65):
-        m.add(("_", "x%02d" % i), "voice", 1)
+    m = ContrastMatrix({(("_", "x%02d" % i), "voice"): Cell(1, 1) for i in range(65)})
     with pytest.raises(StudyError, match="limit"):
         render(m, RenderSpec("svg", "frame"))
 
