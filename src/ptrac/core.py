@@ -168,14 +168,15 @@ def require_distinct_texts(contexts):
 def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool = False):
     """Build the sequence-frequency table; returns (table, excluded). With
     `carriers`, the same pass also fills `table.carriers`, the drill-down's
-    index from each sequence to the entries that carry it: an entry as
-    read when its transcription was text, else ``(orthography, text)``.
+    index from each sequence to the entries that carry it, each the entry
+    as it was read.
 
-    `entries` is a Lexicon parsed against `inv` (its stored pairs are
-    read), or an iterable of ``(orthography, transcription)`` as
-    `read_entries` yields them, read once and kept only as carriers. A
-    transcription is text of `inv.char_of` characters, or symbols, joined
-    so first; a symbol outside `inv` is a StudyError.
+    `entries` is a Lexicon parsed against `inv` (its stored rows are read),
+    or an iterable of ``(orthography, transcription)`` as `read_entries`
+    yields them, read once and kept only as carriers. A transcription is
+    text of `inv.char_of` characters, as both hold it (symbols come in
+    through `Lexicon(entries, inv)`); other transcriptions, and symbols
+    outside `inv`, are a StudyError.
 
     Each transcription is cut into text slices, the table's keys, by the
     plan of its consonant/vowel skeleton (its text through
@@ -190,14 +191,12 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
         entries = entries._rows
     freqs, index = {}, {} if carriers else None
     excluded = []
-    skeleton_table, char_of, decode = inv.skeleton_table, inv.char_of.__getitem__, inv.decode
+    skeleton_table, decode = inv.skeleton_table, inv.decode
     lead = 1 if cfg.kind == "clusters" else -1  # the coda, or the whole syllable
     plans = {}
     for ix, entry in enumerate(entries):
         t = entry[1]  # no unpacking: a LexEntry would be unpacked through an iterator
         try:
-            if t.__class__ is not str:
-                t = "".join(map(char_of, t))
             skeleton = t.translate(skeleton_table)
             plan = plans.get(skeleton, False)  # a plan may be None or ()
             if plan is False:
@@ -210,14 +209,15 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
         except KeyError as exc:  # only a new skeleton can hold a symbol outside `inv`
             raise StudyError("entry %d (%s): symbol %r is not in the inventory"
                              % (ix, entry[0], exc.args[0])) from None
+        except (AttributeError, TypeError):  # no str.translate: a tuple, bytes, None
+            raise StudyError("entry %d (%s): transcription %r is not text"
+                             % (ix, entry[0], t)) from None
         if plan is None:
             try:
                 syllabify(decode(t), inv)  # raises, naming the reason
             except SyllabifyError as exc:
                 excluded.append(ExcludedEntry(ix, entry[0], str(exc), exc.reason))
                 continue
-        if index is not None and plan and entry[1] is not t:
-            entry = (entry[0], t)
         for o, e in plan:
             seq = t[o:e]
             freqs[seq] = freqs.get(seq, 0) + 1

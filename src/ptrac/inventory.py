@@ -15,8 +15,8 @@ Vowels never carry features and never participate in the pair relation.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from itertools import chain
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InventoryError
@@ -64,18 +64,17 @@ class Phoneme(NamedTuple):
     is_vowel: bool
 
 
-_EMPTY = MappingProxyType({})  # a default no caller can add to
+class FeatureSystem(namedtuple("FeatureSystem", "mode pair_relation bundles")):
+    """A consonant feature system: `mode` is "pair-list" or "vector";
+    `pair_relation` (pair-list mode) maps frozenset({a, b}) -> feature name,
+    `bundles` (vector mode) symbol -> (manner, place, voice) labels. A map
+    left out is a new dict."""
 
+    __slots__ = ()
 
-class FeatureSystem(NamedTuple):
-    mode: str  # "pair-list" | "vector"
-    # pair-list mode: frozenset({a, b}) -> feature name
-    pair_relation: dict = _EMPTY
-    # vector mode: symbol -> (manner, place, voice) labels
-    bundles: dict = _EMPTY
-
-    def __reduce__(self):  # its maps as dicts: a mappingproxy cannot be pickled
-        return FeatureSystem, (self.mode, dict(self.pair_relation), dict(self.bundles))
+    def __new__(cls, mode, pair_relation=None, bundles=None):
+        return super().__new__(cls, mode, {} if pair_relation is None else pair_relation,
+                               {} if bundles is None else bundles)
 
 
 class Inventory:

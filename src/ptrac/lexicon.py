@@ -9,7 +9,6 @@ Counts downstream are type frequencies, so no numeric column is read.
 from __future__ import annotations
 
 import re
-from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import LexiconError, TokenizeError
@@ -30,33 +29,30 @@ class Diagnostic(NamedTuple):
 
 
 class Lexicon:
-    """Entries of one inventory, in one list, `_rows`: from `parse_lexicon`,
-    the text pairs of `read_entries` as read (`_as_read`) until `entries` is read."""
+    """Entries of one inventory, in one list, `_rows`: the
+    ``(orthography, text)`` pairs `read_entries` yields, each symbol one
+    character of `inventory.char_of`; `entries` reads them as symbols."""
 
     def __init__(self, entries, inventory: Inventory):
-        # tuple(): a text transcription is checked, and kept, one symbol per character
-        self._rows = [tuple.__new__(LexEntry, (e[0], tuple(e[1]))) for e in entries]
-        self._as_read = False
-        self.inventory = inventory
-        unknown = set().union(*map(attrgetter("transcription"), self._rows))
-        unknown -= inventory.vowel_map.keys()
+        # a text transcription is read one symbol per character
+        entries, char_of = list(entries), inventory.char_of
+        unknown = set().union(*(e[1] for e in entries)).difference(char_of)
         if unknown:
-            first = next(e for e in self._rows if not unknown.isdisjoint(e.transcription))
+            first = next(e[0] for e in entries if not unknown.isdisjoint(e[1]))
             raise LexiconError(
                 "symbol(s) not in the inventory: %s (first in entry %r)"
-                % (", ".join(map(repr, sorted(unknown))), first.orthography)
+                % (", ".join(map(repr, sorted(unknown))), first)
             )
+        self._rows = [(e[0], "".join(map(char_of.__getitem__, e[1]))) for e in entries]
+        self.inventory = inventory
 
     @property
     def entries(self) -> list:
-        """`_rows` as LexEntry named tuples with tuple transcriptions, made so
-        in place once: every read returns the list extraction reads."""
-        if self._as_read:
-            decode = self.inventory.decode
-            # tuple.__new__ skips the Python-level __new__ of the named tuple
-            self._rows[:] = [tuple.__new__(LexEntry, (o, decode(t))) for o, t in self._rows]
-            self._as_read = False
-        return self._rows
+        """The rows as LexEntry named tuples with tuple transcriptions, in a
+        new list at every read; the lexicon does not change with it."""
+        decode = self.inventory.decode
+        # tuple.__new__ skips the Python-level __new__ of the named tuple
+        return [tuple.__new__(LexEntry, (o, decode(t))) for o, t in self._rows]
 
     def __len__(self):
         return len(self._rows)
@@ -141,7 +137,7 @@ def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
     if strict and diagnostics:
         raise strict_error(diagnostics)
     lex = Lexicon.__new__(Lexicon)  # skips the symbol check: `read_entries` made them
-    lex._rows, lex._as_read, lex.inventory = rows, True, inv
+    lex._rows, lex.inventory = rows, inv
     return lex, diagnostics
 
 

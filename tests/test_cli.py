@@ -414,7 +414,8 @@ def test_contexts_that_render_alike_are_a_validation_error(capsys, monkeypatch, 
 
     inv, lex = join_alike
     monkeypatch.setattr(ptrac.cli, "_load_inventory", lambda path: inv)
-    monkeypatch.setattr("ptrac.lexicon.read_entries", lambda text, inv, diagnostics: iter(lex))
+    monkeypatch.setattr("ptrac.lexicon.read_entries",
+                        lambda text, inv, diagnostics: iter(lex._rows))  # text rows
     lexicon = tmp_path / "lex.tsv"
     lexicon.write_text("", encoding="utf-8")
     code, out, err = run(capsys, command[:1] + ["--inventory", "unused", "--lexicon",
@@ -439,7 +440,8 @@ def test_list_pairs_sees_frames_of_every_feature(capsys, monkeypatch, tmp_path,
 
     inv, lex = join_alike_across_features
     monkeypatch.setattr(ptrac.cli, "_load_inventory", lambda path: inv)
-    monkeypatch.setattr("ptrac.lexicon.read_entries", lambda text, inv, diagnostics: iter(lex))
+    monkeypatch.setattr("ptrac.lexicon.read_entries",
+                        lambda text, inv, diagnostics: iter(lex._rows))  # text rows
     lexicon = tmp_path / "lex.tsv"
     lexicon.write_text("", encoding="utf-8")
     assert run(capsys, ["list-pairs", "--inventory", "unused", "--lexicon", str(lexicon),

@@ -13,10 +13,11 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from ptrac import FEATURES, data
+from ptrac import FEATURES, StudyConfig, data, parse_inventory, parse_lexicon
 from ptrac.cli import cli_main
 from ptrac.core import KINDS, ORIENTATIONS, SCHEMES, WEIGHTINGS
-from ptrac.report import CSV_HEADER, FORMATS
+from ptrac.oracle import GUARD, oracle_matrix
+from ptrac.report import CSV_HEADER, FORMATS, RenderSpec, render
 from randlex import CHARS
 from test_inventory import inventory_texts
 from test_report import _markdown_cells
@@ -129,6 +130,32 @@ def _check_stdout(argv, out):
         assert all(out.split("\n")[:-1]) and out.endswith("\n") or out == ""
 
 
+def _option_value(argv, flag, default=None):
+    return argv[argv.index(flag) + 1] if flag in argv else default
+
+
+def _check_against_oracle(argv, inventory, lexicon, out):
+    """Output of a successful `analyze` equals the oracle's matrix of the
+    same lexicon and settings, rendered alike: all of a CSV, Markdown or
+    SVG output, the records of a JSON one (its meta counts diagnostics)."""
+    inv = parse_inventory(inventory)
+    lex, _ = parse_lexicon(lexicon.removeprefix(BOM).decode(), inv)
+    # a sequence takes at least two symbols of an entry
+    if sum(len(e.transcription) for e in lex.entries) > 2 * GUARD:
+        return
+    cfg = StudyConfig(kind=_option_value(argv, "--study"),
+                      weighting=_option_value(argv, "--weighting", "type-frequency"),
+                      orientation=_option_value(argv, "--orientation", "unordered"),
+                      feature=_option_value(argv, "--feature"))
+    fmt = _option_value(argv, "--format")
+    want = render(oracle_matrix(lex, inv, cfg), RenderSpec(fmt, _option_value(argv, "--aggregate")),
+                  inv=inv)
+    if fmt == "json":
+        assert json.loads(out)["records"] == json.loads(want)["records"]
+    else:
+        assert out == want
+
+
 _NOT_UTF8 = re.compile(r"error: line (\d+): byte 0x([0-9a-f]{2}) at offset (\d+) of (.*) "
                        r"is not valid UTF-8\n", re.S)
 
@@ -142,11 +169,20 @@ SHIPPED = st.just(data.persian_inventory_text())
 OUT_RUN = dict(inventory=data.persian_inventory_text(), inventory_bom=False,
                lexicon="".join("%s\t%s\n" % (w, w) for w in WORDS).encode())
 OUT_ARGV = ["analyze", "--study", "clusters", "--format", "csv", "--aggregate", "frame", "--out"]
+# Runs with pairs to compare with the oracle, under other settings and formats.
+ORACLE_ARGVS = [
+    ["analyze", "--study", "positions", "--format", "svg", "--aggregate", "position",
+     "--orientation", "ordered", "--weighting", "unweighted"],
+    ["analyze", "--study", "clusters", "--format", "markdown", "--aggregate", "following-class",
+     "--feature", "voice"],
+]
 
 
 @settings(max_examples=200, deadline=None)
 @example(**OUT_RUN, command=(OUT_ARGV + [OUT_FILE], True))
 @example(**OUT_RUN, command=(OUT_ARGV + [OUT_MISSING], True))
+@example(**OUT_RUN, command=(ORACLE_ARGVS[0], True))
+@example(**OUT_RUN, command=(ORACLE_ARGVS[1], True))
 @given(inventory=st.one_of(SHIPPED, SHIPPED, inventory_texts()),
        inventory_bom=st.booleans(), lexicon=lexicon_bytes(), command=argvs())
 def test_every_cli_run_ends_in_output_or_exit_2(inventory, inventory_bom, lexicon, command):
@@ -172,6 +208,8 @@ def test_every_cli_run_ends_in_output_or_exit_2(inventory, inventory_bom, lexico
     if code == 0:
         assert target is None or out == ""
         _check_stdout(argv, out if target is None else written)
+        if argv[0] == "analyze":
+            _check_against_oracle(argv, inventory, lexicon, out if target is None else written)
     elif code == 2:
         assert "error: " in err
         assert argv[0] == "syllabify" or out == ""

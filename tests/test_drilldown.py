@@ -107,7 +107,7 @@ def test_list_pairs_equals_the_full_path_when_frames_collide(capsys, monkeypatch
     inv, lex = make_case(seed, mode="multichar")
     monkeypatch.setattr(ptrac.cli, "_load_inventory", lambda path: inv)
     monkeypatch.setattr("ptrac.lexicon.read_entries",
-                        lambda text, inv, diagnostics: iter(lex.entries))
+                        lambda text, inv, diagnostics: iter(lex._rows))  # text rows
     lex_path = tmp_path / "lex.tsv"
     lex_path.write_text("", encoding="utf-8")
     _, refused = check_every_drilldown(capsys, lex, inv, kind,

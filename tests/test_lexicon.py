@@ -151,8 +151,8 @@ def test_serialize_refuses_an_orthography_a_line_cannot_hold(persian, orthograph
 
 
 def test_round_trip_of_a_multichar_lexicon_as_read():
-    # Read from a file, a multi-character symbol is a private code character
-    # until `entries` is read; serializing writes the symbol. (Seed 4: every
+    # Read from a file, a multi-character symbol is kept as a private code
+    # character, which `entries` decodes; serializing writes the symbol. (Seed 4: every
     # entry of this case reads back as written, unlike seeds 0-3.)
     from ptrac.lexicon import read_entries
     from randlex import make_case
@@ -353,14 +353,14 @@ def test_entries_are_one_list_of_lex_entries(persian, multichar):
     entries = lex.entries
     assert entries == [("band", ("b", "a", "n", "d")), ("sard", ("s", "a", "'", "d"))]
     assert all(type(e) is LexEntry and type(e.transcription) is tuple for e in entries)
-    assert lex.entries is entries and list(lex) == entries
-    # an entry appended to the list is extracted
+    assert list(lex) == entries
+    # each read is a new list: an entry appended to one leaves the lexicon as it was
     entries.append(LexEntry("pand", ("p", "a", "n", "d")))
     table, _ = extract_sequences(lex, inv, StudyConfig(), carriers=True)
-    assert table.freqs == {"nd": 2, "'d": 1}
-    assert table.carriers["nd"] == [("band", "band"), ("pand", "pand")]
-    assert [(o, inv.decode(t)) for o, t in table.carriers["nd"]] == entries[::2]
-    assert len(lex) == 3 and lex.entries is entries
+    assert table.freqs == {"nd": 1, "'d": 1}
+    assert table.carriers["nd"] == [("band", "band")]
+    assert [(o, inv.decode(t)) for o, t in table.carriers["nd"]] == entries[:1]
+    assert len(lex) == 2 and lex.entries == entries[:2] and lex.entries is not lex.entries
 
 
 def test_lexicon_keeps_text_transcriptions_one_symbol_per_character(persian):

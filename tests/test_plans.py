@@ -176,11 +176,12 @@ def test_extraction_syllabifies_only_rejected_entries(monkeypatch):
         return syllabify(seq, inv)
 
     monkeypatch.setattr(ptrac.core, "syllabify", counting)
+    entries = lex.entries
     for kind in KINDS:
         calls.clear()
         _, excluded = extract_sequences(lex, inv, StudyConfig(kind=kind))
         assert excluded
-        assert calls == [lex.entries[ex.index].transcription for ex in excluded]
+        assert calls == [entries[ex.index].transcription for ex in excluded]
 
 
 @pytest.mark.parametrize("case", ["positions-cvcc-20k", "multichar"])

@@ -3,6 +3,7 @@ table, carriers, exclusions and diagnostics equal those of extracting the
 parsed Lexicon, and both equal the syllabifying reference of
 `test_plans.py`. No entry is kept unless as a carrier."""
 
+import operator
 import random
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from ptrac import (
+    Lexicon,
     StudyConfig,
     StudyError,
     data,
@@ -55,8 +57,9 @@ def assert_streams_like_parse(text, inv):
     `read_entries` equals extraction from `parse_lexicon` and the
     reference, whose keys and carriers are read through `inv.decode`;
     `read_entries` yields text for every inventory. The parsed Lexicon is
-    extracted both before its `entries` are read (`fresh`, still as read)
-    and after (`lex`, whose entries the reference reads)."""
+    extracted both before its `entries` are read (`fresh`) and after
+    (`lex`, whose entries the reference reads): reading them changes
+    nothing, and both carry their own rows."""
     decode = inv.decode
     lex, want_diags = parse_lexicon(text, inv)
     fresh, _ = parse_lexicon(text, inv)
@@ -91,8 +94,9 @@ def assert_streams_like_parse(text, inv):
                        for es in got.carriers.values() for e in es)
             assert all(type(e) is tuple and type(e[1]) is str
                        for es in as_read.carriers.values() for e in es)
-            rows = set(map(id, fresh._rows))  # the carriers are the rows as read
-            assert all(id(e) in rows for es in as_read.carriers.values() for e in es)
+            for parsed, table in ((fresh, as_read), (lex, want)):
+                rows = set(map(id, parsed._rows))  # the carriers are the rows as read
+                assert all(id(e) in rows for es in table.carriers.values() for e in es)
     assert fresh.entries == lex.entries
 
 
@@ -162,18 +166,20 @@ def test_run_study_takes_the_stream():
     (PERSIAN, ("b", "an", "d")),  # a symbol of two characters
     (PERSIAN_MULTI, ("b", "a", "X", "d")),
     (PERSIAN_MULTI, "ba5d"),
+    (PERSIAN, b"band"),
 ])
 @pytest.mark.parametrize("seen_first", [(), ("band", "bbnd")], ids=["alone", "after"])
 def test_a_symbol_outside_the_inventory_is_a_study_error(inv, transcription, seen_first):
     # The words read first have skeletons CVCC and CCCC, which "bVnd" and
     # "Vand" would copy if an unknown "V" were left untranslated.
+    # Symbols come in through a Lexicon; an iterable's tuple is not text.
     entries = [("w%d" % i, t) for i, t in enumerate(seen_first)]
     entries.append(("odd", transcription))
+    why = "not in the inventory" if isinstance(transcription, str) else "is not text"
     for kind in KINDS:
-        with pytest.raises(StudyError, match=r"entry %d \(odd\).*not in the inventory"
-                           % len(seen_first)):
+        with pytest.raises(StudyError, match=r"entry %d \(odd\).*%s" % (len(seen_first), why)):
             extract_sequences(iter(entries), inv, StudyConfig(kind=kind), carriers=True)
-    with pytest.raises(StudyError, match="not in the inventory"):
+    with pytest.raises(StudyError, match=why):
         run_study(iter(entries), inv, StudyConfig())
 
 
@@ -187,12 +193,46 @@ def test_a_lexicon_of_another_inventory_is_refused():
 
 
 def test_tuple_transcriptions_of_one_character_symbols():
-    # an iterable may hold tuples for a one-character inventory, as a Lexicon does
+    # Tuples of symbols come in through a Lexicon, which keeps them as text;
+    # an iterable holds text, as `read_entries` yields it.
     lex, _ = parse_lexicon(data.voicing_fixture_text(), PERSIAN)
     as_tuples = [(e.orthography, e.transcription) for e in lex]
     for carriers in (False, True):
-        got = extract_sequences(iter(as_tuples), PERSIAN, StudyConfig(), carriers=carriers)
+        got = extract_sequences(Lexicon(as_tuples, PERSIAN), PERSIAN, StudyConfig(),
+                                carriers=carriers)
         assert got == extract_sequences(lex, PERSIAN, StudyConfig(), carriers=carriers)
+    with pytest.raises(StudyError) as exc:
+        extract_sequences(iter(as_tuples), PERSIAN, StudyConfig())
+    assert str(exc.value) == "entry 0 (%s): transcription %r is not text" % as_tuples[0]
+
+
+@pytest.mark.parametrize("inv", [PERSIAN, PERSIAN_MULTI], ids=["one-char", "multichar"])
+def test_a_lexicon_has_one_entry_form(inv):
+    # Its rows are the text pairs `read_entries` yields, whatever reads the
+    # lexicon or however it is built: reading `entries` changes no row and
+    # no study, each carrier is a row, and a Lexicon of the entries holds
+    # the same rows. The "ŋŋ" words take a private code under PERSIAN_MULTI.
+    from ptrac.report import RenderSpec, render
+
+    text = MIXED + "bŋŋnd\tbŋŋnd\nsŋŋrd\tsŋŋrd\n" + data.voicing_fixture_text()
+    lex, _ = parse_lexicon(text, inv)
+    rows = list(lex._rows)
+    assert rows == list(read_entries(text, inv, []))
+
+    def studies():
+        reports = [run_study(lex, inv, StudyConfig(kind=kind)) for kind in KINDS]
+        return [(list(r.table.freqs.items()), r.excluded,
+                 render(r.matrix, RenderSpec("json"), inv=inv)) for r in reports]
+
+    before = studies()
+    entries = lex.entries
+    assert lex._rows == rows and all(map(operator.is_, lex._rows, rows))
+    assert studies() == before
+    for kind in KINDS:
+        table, _ = extract_sequences(lex, inv, StudyConfig(kind=kind), carriers=True)
+        ids = set(map(id, lex._rows))
+        assert table.carriers and all(id(e) in ids for es in table.carriers.values() for e in es)
+    assert Lexicon(entries, inv)._rows == lex._rows
 
 
 def _peak(work):
