@@ -23,6 +23,7 @@ word types in the lexicon (duplicate words contribute separately).
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import count, islice
 from typing import NamedTuple
 
 from .errors import StudyError, SyllabifyError
@@ -184,7 +185,10 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
     codas (clusters) or whole CVCC syllables (positions) in word order, or
     None when `syllabify` rejects the skeleton. A plan is computed once per
     distinct skeleton, from the decoded text, and no syllables are built; a
-    rejected entry is decoded and syllabified again, for its message."""
+    rejected entry is decoded and syllabified again, for its message.
+    Entries are read 256 at a time, their skeletons translated in one call,
+    joined by "\n"; a chunk that cannot be (a row that is no text pair, a
+    text holding "\n") is translated entry by entry (see `_skeletons`)."""
     if isinstance(entries, Lexicon):
         if entries.inventory is not inv:
             raise StudyError("lexicon was parsed against a different inventory")
@@ -194,10 +198,16 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
     skeleton_table, decode = inv.skeleton_table, inv.decode
     lead = 1 if cfg.kind == "clusters" else -1  # the coda, or the whole syllable
     plans = {}
-    for ix, entry in enumerate(entries):
-        t = entry[1]  # no unpacking: a LexEntry would be unpacked through an iterator
-        try:
-            skeleton = t.translate(skeleton_table)
+    rows, start = iter(entries), 0
+    while chunk := list(islice(rows, 256)):  # a larger chunk holds more rows of a stream
+        try:  # one translate for the chunk's skeletons
+            skeletons = "\n".join([e[1] for e in chunk]).translate(skeleton_table).split("\n")
+        except (TypeError, IndexError):  # a row that is not an (orthography, text) pair
+            skeletons = ()
+        if len(skeletons) != len(chunk):  # also when a text holds "\n"
+            skeletons = _skeletons(chunk, start, skeleton_table)
+        for ix, entry, skeleton in zip(count(start), chunk, skeletons):
+            t = entry[1]
             plan = plans.get(skeleton, False)  # a plan may be None or ()
             if plan is False:
                 try:
@@ -205,25 +215,39 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
                                  if end - v == 3)
                 except SyllabifyError:
                     plan = None
+                except KeyError as exc:  # only a new skeleton can hold a symbol outside `inv`
+                    raise StudyError("entry %d (%s): symbol %r is not in the inventory"
+                                     % (ix, entry[0], exc.args[0])) from None
                 plans[skeleton] = plan
-        except KeyError as exc:  # only a new skeleton can hold a symbol outside `inv`
-            raise StudyError("entry %d (%s): symbol %r is not in the inventory"
-                             % (ix, entry[0], exc.args[0])) from None
+            if plan is None:
+                try:
+                    syllabify(decode(t), inv)  # raises, naming the reason
+                except SyllabifyError as exc:
+                    excluded.append(ExcludedEntry(ix, entry[0], str(exc), exc.reason))
+                    continue
+            for o, e in plan:
+                seq = t[o:e]
+                freqs[seq] = freqs.get(seq, 0) + 1
+                if index is not None:
+                    index.setdefault(seq, []).append(entry)
+        start += len(chunk)
+    return SequenceTable(freqs, index), excluded
+
+
+def _skeletons(chunk, start, skeleton_table):
+    """The skeletons of `chunk`, whose first entry is entry `start`, one at
+    a time, so that an error names the first entry at fault."""
+    for ix, entry in enumerate(chunk, start):
+        try:
+            t = entry[1]
+        except (TypeError, IndexError):  # None, a 1-tuple
+            raise StudyError("entry %d: %r is not an (orthography, transcription) pair"
+                             % (ix, entry)) from None
+        try:
+            yield t.translate(skeleton_table)
         except (AttributeError, TypeError):  # no str.translate: a tuple, bytes, None
             raise StudyError("entry %d (%s): transcription %r is not text"
                              % (ix, entry[0], t)) from None
-        if plan is None:
-            try:
-                syllabify(decode(t), inv)  # raises, naming the reason
-            except SyllabifyError as exc:
-                excluded.append(ExcludedEntry(ix, entry[0], str(exc), exc.reason))
-                continue
-        for o, e in plan:
-            seq = t[o:e]
-            freqs[seq] = freqs.get(seq, 0) + 1
-            if index is not None:
-                index.setdefault(seq, []).append(entry)
-    return SequenceTable(freqs, index), excluded
 
 
 def _encode(freqs, inv: Inventory):
@@ -481,14 +505,21 @@ def _witnesses(seq_a, seq_b, position, carriers, lookup, limit):
     looked up in `lookup`, which maps each transcription of the other
     side's carriers (seq_a's if it has more, else seq_b's) to their
     indices. A swap is its own inverse, and two swapped positions give
-    different transcriptions, so either side finds each aligned pair once."""
+    different transcriptions, so either side finds each aligned pair once.
+    A carrier with one of the two characters, its own, once has one swap,
+    made by `str.replace`; any other is swapped at each in turn."""
     wa, wb = carriers.get(seq_a, []), carriers.get(seq_b, [])
     a, b = seq_a[position], seq_b[position]
     swap = {a: b, b: a}
     flip = len(wa) > len(wb)  # scan wb, look up in wa
     scan = wb if flip else wa
+    own, other = (b, a) if flip else (a, b)  # the scanned side's character, the other's
     aligned = []  # (index in wa, index in wb)
     for x, (_, t) in enumerate(scan):
+        if other not in t and t.count(own) == 1:
+            for y in lookup.get(t.replace(own, other), ()):
+                aligned.append((y, x) if flip else (x, y))
+            continue
         for k, sym in enumerate(t):
             if sym in swap:
                 for y in lookup.get(t[:k] + swap[sym] + t[k + 1:], ()):

@@ -259,7 +259,12 @@ def split_lines(text):
     The text is split one slice of about 64 KiB at a time, each ending at a
     line break, so no list of every line is built, and line ends are made
     "\n" one slice at a time, so no copy of the whole text either."""
-    return chain.from_iterable(map(_lines, _slices(text)))
+    return chain.from_iterable(line_slices(text))
+
+
+def line_slices(text):
+    """The lines of `split_lines`, in one list per slice of the text."""
+    return map(_lines, _slices(text))
 
 
 def _lines(text):

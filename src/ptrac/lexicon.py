@@ -9,10 +9,11 @@ Counts downstream are type frequencies, so no numeric column is read.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import LexiconError, TokenizeError
-from .inventory import GLOTTAL_ALIAS, Inventory, normalize_symbol, split_lines
+from .inventory import GLOTTAL_ALIAS, Inventory, line_slices, normalize_symbol
 
 
 class LexEntry(NamedTuple):
@@ -36,6 +37,10 @@ class Lexicon:
     def __init__(self, entries, inventory: Inventory):
         # a text transcription is read one symbol per character
         entries, char_of = list(entries), inventory.char_of
+        for ix, e in enumerate(entries):
+            if not (isinstance(e, (tuple, list)) and len(e) == 2):
+                raise LexiconError("entry %d: %r is not an (orthography, transcription) pair"
+                                   % (ix, e))
         unknown = set().union(*(e[1] for e in entries)).difference(char_of)
         if unknown:
             first = next(e[0] for e in entries if not unknown.isdisjoint(e[1]))
@@ -90,33 +95,44 @@ def tokenize_transcription(text: str, inv: Inventory):
 
 
 def read_entries(text: str, inv: Inventory, diagnostics: list):
-    """Yield ``(orthography, transcription)`` for each well-formed line of
-    a lexicon file, in line order; each malformed line instead appends a
-    Diagnostic to `diagnostics`. This is the lexicon's only line rule.
+    """An iterator of ``(orthography, transcription)`` for each well-formed
+    line of a lexicon file, in line order; each malformed line instead
+    appends a Diagnostic to `diagnostics`. This is the lexicon's only line
+    rule.
 
     The transcription is a str, one character per symbol: a symbol's
     `inv.char_of`, "?" already read as the glottal stop; `inv.decode`
-    gives its symbols. Nothing is kept per line: `split_lines` splits the
-    text one slice of about 64 KiB at a time, so beside `text` only that
-    slice's lines are held, and `core.extract_sequences` can read a file
-    of any size through it."""
+    gives its symbols. Nothing is kept per line: `line_slices` splits the
+    text one slice of about 64 KiB at a time, and when a slice's first row
+    is pulled, its rows are read into one list and its diagnostics
+    appended. So beside `text` only one slice's lines and rows are held,
+    and `core.extract_sequences` can read a file of any size through it."""
+    return chain.from_iterable(_slice_rows(text, inv, diagnostics))
+
+
+def _slice_rows(text, inv, diagnostics):
     chars, char_of = inv.char_symbols, inv.char_of.__getitem__
-    for no, line in enumerate(split_lines(text), start=1):
-        head = line.lstrip()
-        if not head or head[0] == "#":
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2 or not parts[0] or not parts[1]:
-            diagnostics.append(Diagnostic(no, "expected 'orthography<TAB>transcription'"))
-            continue
-        trans = parts[1]
-        if not chars.issuperset(trans):
-            try:
-                trans = "".join(map(char_of, tokenize_transcription(trans, inv)))
-            except TokenizeError as exc:
-                diagnostics.append(Diagnostic(no, str(exc)))
+    no = 0
+    for lines in line_slices(text):
+        rows = []
+        for no, line in enumerate(lines, start=no + 1):
+            head = line.lstrip()
+            if not head or head[0] == "#":
                 continue
-        yield parts[0], trans
+            parts = line.split("\t")
+            if len(parts) < 2 or not parts[0] or not parts[1]:
+                diagnostics.append(Diagnostic(no, "expected 'orthography<TAB>transcription'"))
+                continue
+            trans = parts[1]
+            if not chars.issuperset(trans):
+                try:
+                    trans = "".join(map(char_of, tokenize_transcription(trans, inv)))
+                except TokenizeError as exc:
+                    diagnostics.append(Diagnostic(no, str(exc)))
+                    continue
+            rows.append((parts[0], trans))
+        del lines  # before the next slice's lines are split
+        yield rows
 
 
 def strict_error(diagnostics) -> LexiconError:

@@ -6,8 +6,10 @@ import contextlib
 import csv
 import io
 import json
+import random
 import re
 import tempfile
+import types
 import xml.dom.minidom
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from ptrac.cli import cli_main
 from ptrac.core import KINDS, ORIENTATIONS, SCHEMES, WEIGHTINGS
 from ptrac.oracle import GUARD, oracle_matrix
 from ptrac.report import CSV_HEADER, FORMATS, RenderSpec, render
-from randlex import CHARS
+from randlex import CHARS, random_word
 from test_inventory import inventory_texts
 from test_report import _markdown_cells
 
@@ -229,3 +231,52 @@ def test_every_cli_run_ends_in_output_or_exit_2(inventory, inventory_bom, lexico
         lexicon[start:at].decode("utf-8")
         assert line == 1 + lexicon.count(b"\n", 0, at) + lexicon.count(b"\r", 0, at) \
             - lexicon.count(b"\r\n", 0, at)
+
+
+# Consonants of the shipped inventory with pairs of every feature: words
+# of a few of them and of its vowels form minimal pairs in most lexicons.
+PAIR_CONSONANTS = ("b", "p", "d", "t", "s", "z")
+SHIPPED_INV = data.persian_inventory()
+
+
+@st.composite
+def analyze_runs(draw):
+    """(lexicon bytes, analyze argv without its format and files): words of
+    CV, CVC and CVCC syllables, now and then an unsyllabifiable one (see
+    `randlex.random_word`), over a few drawn consonants, and drawn
+    settings."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    alphabet = types.SimpleNamespace(
+        consonants=draw(st.lists(st.sampled_from(PAIR_CONSONANTS), min_size=3, max_size=5,
+                                 unique=True)),
+        vowels=draw(st.lists(st.sampled_from(SHIPPED_INV.vowels), min_size=1, max_size=2,
+                             unique=True)))
+    words = [random_word(rng, alphabet) for _ in range(draw(st.integers(15, 60)))]
+    lexicon = "".join("w%d\t%s\n" % (i, "".join(w)) for i, w in enumerate(words)).encode()
+    kind = draw(st.sampled_from(KINDS))
+    schemes = [s for s in SCHEMES if s != "position" or kind == "positions"]
+    return lexicon, ["analyze", "--study", kind, "--aggregate", draw(st.sampled_from(schemes)),
+                     *_option(draw, "--weighting", WEIGHTINGS),
+                     *_option(draw, "--orientation", ORIENTATIONS),
+                     *_option(draw, "--feature", FEATURES)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(analyze_runs())
+def test_analyze_prints_the_oracle_matrix_in_every_format(run):
+    # Unlike the property above, most runs here print pairs (about 4 in 5).
+    lexicon, argv = run
+    with tempfile.TemporaryDirectory() as folder:
+        inv_path, lex_path = Path(folder, "inv.inv"), Path(folder, "lex.tsv")
+        inv_path.write_text(data.persian_inventory_text(), encoding="utf-8")
+        lex_path.write_bytes(lexicon)
+        for fmt in FORMATS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main(argv[:1] + ["--inventory", str(inv_path),
+                                            "--lexicon", str(lex_path), "--format", fmt]
+                                + argv[1:])
+            assert code == 0
+            _check_stdout(argv + ["--format", fmt], out.getvalue())
+            _check_against_oracle(argv + ["--format", fmt], data.persian_inventory_text(),
+                                  lexicon, out.getvalue())

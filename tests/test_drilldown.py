@@ -8,6 +8,7 @@ refuses the context, the command exits 2 with the same message.
 """
 
 import random
+import types
 
 import pytest
 
@@ -113,3 +114,65 @@ def test_list_pairs_equals_the_full_path_when_frames_collide(capsys, monkeypatch
     _, refused = check_every_drilldown(capsys, lex, inv, kind,
                                        ["--inventory", "unused", "--lexicon", str(lex_path)])
     assert bool(refused) == (seed == 3 and kind == "positions")
+
+
+def scan_witnesses(seq_a, seq_b, position, carriers, lookup, limit):
+    # The former `core._witnesses`, kept verbatim as the reference: every
+    # carrier is swapped at each character of the two, one at a time.
+    wa, wb = carriers.get(seq_a, []), carriers.get(seq_b, [])
+    a, b = seq_a[position], seq_b[position]
+    swap = {a: b, b: a}
+    flip = len(wa) > len(wb)  # scan wb, look up in wa
+    scan = wb if flip else wa
+    aligned = []  # (index in wa, index in wb)
+    for x, (_, t) in enumerate(scan):
+        for k, sym in enumerate(t):
+            if sym in swap:
+                for y in lookup.get(t[:k] + swap[sym] + t[k + 1:], ()):
+                    aligned.append((y, x) if flip else (x, y))
+    if aligned:
+        aligned.sort()
+        return tuple((wa[i][0], wb[j][0]) for i, j in aligned[:limit])
+    if wa and wb:
+        return ((wa[0][0], wb[0][0]),)
+    return ()
+
+
+# Consonants with pairs of every feature, few enough that a word often
+# holds both of a pair's consonants, or one of them more than once.
+FEW = ("b", "p", "d", "t", "s", "z", "n", "r")
+
+
+@pytest.mark.parametrize("name", sorted(INVENTORIES))
+@pytest.mark.parametrize("seed", range(3))
+def test_witnesses_equal_the_per_character_scan(monkeypatch, seed, name):
+    # `_witnesses` swaps a carrier that holds its sequence's character once,
+    # and the other's not at all, by `str.replace`; every row, and with no
+    # limit every aligned pair, equals that of the scan. The carriers hold
+    # the swapped characters once, twice and three times.
+    import ptrac.core
+
+    inv = parse_inventory(INVENTORIES[name])
+    rng = random.Random(seed)
+    words = types.SimpleNamespace(consonants=FEW, vowels=inv.vowels)  # "ŋŋ" too, if a vowel
+    lex = Lexicon([LexEntry("w%d" % i, random_word(rng, words)) for i in range(800)], inv)
+    char_of, held = inv.char_of.__getitem__, set()
+    for kind in KINDS:
+        cfg = StudyConfig(kind)
+        table, _ = extract_sequences(lex, inv, cfg, carriers=True)
+        pairs = enumerate_minimal_sequence_pairs(table, inv, cfg)
+        for p in pairs:
+            a, b = char_of(p.seq_a[p.position]), char_of(p.seq_b[p.position])
+            key = "".join(map(char_of, p.seq_a))
+            held.update(t.count(a) + t.count(b) for _, t in table.carriers[key])
+        for feature in FEATURES:
+            for limit in (1, 5, 10 ** 6):
+                def rows():
+                    return list_pairs_for(pairs, feature, "total", None, inv, cfg,
+                                          scheme="total", limit=limit, carriers=table.carriers)
+                got = rows()
+                with monkeypatch.context() as m:
+                    m.setattr(ptrac.core, "_witnesses", scan_witnesses)
+                    assert got == rows()
+                assert got
+    assert {1, 2, 3} <= held

@@ -327,6 +327,19 @@ def test_lexicon_rejects_unknown_symbol(persian):
         Lexicon([LexEntry("w", ("b", "a", "nd"))], persian)
 
 
+@pytest.mark.parametrize("row, shown", [
+    ("band", "'band'"), ("ab", "'ab'"), (("w",), "('w',)"), (None, "None"),
+    (("w", "band", "x"), "('w', 'band', 'x')")])
+def test_lexicon_rejects_a_row_that_is_no_pair(persian, row, shown):
+    # A str row would be read as its first two characters, a 1-tuple or
+    # None would fail inside the symbol check.
+    from ptrac import LexEntry, Lexicon
+
+    with pytest.raises(LexiconError) as exc:
+        Lexicon([LexEntry("w0", ("b", "a", "n", "d")), row, None], persian)
+    assert str(exc.value) == "entry 1: %s is not an (orthography, transcription) pair" % shown
+
+
 def test_lex_entry_named_tuple(persian):
     from ptrac import LexEntry
 

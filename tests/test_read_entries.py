@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from ptrac import (
+    LexEntry,
     Lexicon,
     StudyConfig,
     StudyError,
@@ -233,6 +234,79 @@ def test_a_lexicon_has_one_entry_form(inv):
         ids = set(map(id, lex._rows))
         assert table.carriers and all(id(e) in ids for es in table.carriers.values() for e in es)
     assert Lexicon(entries, inv)._rows == lex._rows
+
+
+@pytest.mark.parametrize("inv", [PERSIAN, PERSIAN_MULTI], ids=["one-char", "multichar"])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
+def test_chunk_boundaries(n, inv):
+    # Extraction reads 256 entries at a time: lexicons on either side of
+    # a chunk's end give the reference's table (key order too), exclusions
+    # (indices too) and carriers, each carrier the row object as read.
+    rng = random.Random(n)
+    lex = Lexicon([LexEntry("w%d" % i, random_word(rng, inv)) for i in range(n)], inv)
+    row_of = {row[0]: row for row in lex._rows}
+    decode = inv.decode
+    for kind in KINDS:
+        want_freqs, want_excluded, want_carriers = reference_extract(lex, inv, kind)
+        assert n < 513 or want_excluded[-1].index >= 256  # exclusions past a chunk too
+        for entries in (lex, iter(lex._rows)):
+            table, excluded = extract_sequences(entries, inv, StudyConfig(kind=kind),
+                                                carriers=True)
+            assert [(decode(k), f) for k, f in table.freqs.items()] == list(want_freqs.items())
+            assert excluded == want_excluded
+            assert list(map(decode, table.carriers)) == list(want_carriers)
+            for key, got in table.carriers.items():
+                want = [row_of[e.orthography] for e in want_carriers[decode(key)]]
+                assert len(got) == len(want) and all(map(operator.is_, got, want))
+
+
+def _rows_with(bad):
+    """600 well-formed rows, with each ``(index, row)`` of `bad` put in."""
+    rng = random.Random(3)
+    rows = [("w%d" % i, "".join(random_word(rng, PERSIAN, invalid_rate=0)))
+            for i in range(600)]
+    for ix, row in bad:
+        rows[ix] = row
+    return rows
+
+
+NEWLINE = ("odd", "ba\nnd")
+TUPLE = ("odd", ("b", "a", "n", "d"))
+UNKNOWN = ("odd", "ba5d")
+ERRORS = {  # each bad row's message, entry index left out
+    NEWLINE: " (odd): symbol '\\n' is not in the inventory",
+    TUPLE: " (odd): transcription ('b', 'a', 'n', 'd') is not text",
+    UNKNOWN: " (odd): symbol '5' is not in the inventory",
+    None: ": None is not an (orthography, transcription) pair",
+    ("w",): ": ('w',) is not an (orthography, transcription) pair",
+}
+
+
+@pytest.mark.parametrize("row", [NEWLINE, TUPLE, None, ("w",)], ids=repr)
+@pytest.mark.parametrize("earlier", [[], [(100, UNKNOWN)], [(290, UNKNOWN)], [(290, TUPLE)]],
+                         ids=["alone", "100-unknown", "290-unknown", "290-tuple"])
+def test_a_bad_entry_past_the_first_chunk_is_named(row, earlier):
+    # Entry 300, in the second chunk, cannot be translated with its chunk;
+    # its error names it, or the earlier bad entry when there is one: in
+    # the first chunk, or in the same chunk, found with it or by the
+    # translation of one entry at a time.
+    rows = _rows_with([(300, row)] + earlier)
+    first = earlier[0][0] if earlier else 300
+    message = "entry %d%s" % (first, ERRORS[rows[first]])
+    for kind in KINDS:
+        with pytest.raises(StudyError) as exc:
+            extract_sequences(iter(rows), PERSIAN, StudyConfig(kind=kind), carriers=True)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("row", [None, ("w",)], ids=repr)
+def test_a_row_that_is_no_pair_is_a_study_error(row):
+    for kind in KINDS:
+        with pytest.raises(StudyError) as exc:
+            extract_sequences(iter([row]), PERSIAN, StudyConfig(kind=kind))
+        assert str(exc.value) == "entry 0%s" % ERRORS[row]
+    with pytest.raises(StudyError, match="is not an"):
+        run_study(iter([("band", "band"), row]), PERSIAN, StudyConfig())
 
 
 def _peak(work):
