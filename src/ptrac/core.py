@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 from .errors import StudyError, SyllabifyError
 from .inventory import FEATURES, HOLE, KINDS, ORIENTATIONS, SCHEMES, WEIGHTINGS, Inventory
-from .inventory import FORMATS  # noqa: F401  (still read as `ptrac.core.FORMATS`)
 from .lexicon import Lexicon
 from .syllabifier import syllable_spans, syllabify
 
@@ -174,10 +173,12 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
 
     `entries` is a Lexicon parsed against `inv` (its stored rows are read),
     or an iterable of ``(orthography, transcription)`` as `read_entries`
-    yields them, read once and kept only as carriers. A transcription is
-    text of `inv.char_of` characters, as both hold it (symbols come in
-    through `Lexicon(entries, inv)`); other transcriptions, and symbols
-    outside `inv`, are a StudyError.
+    yields them, read once and kept only as carriers. Each row is unpacked
+    as a pair: a row of other than two items is a StudyError, and a
+    two-character string reads as the pair of its characters. A
+    transcription is text of `inv.char_of` characters, as both hold it
+    (symbols come in through `Lexicon(entries, inv)`); other
+    transcriptions, and symbols outside `inv`, are a StudyError.
 
     Each transcription is cut into text slices, the table's keys, by the
     plan of its consonant/vowel skeleton (its text through
@@ -201,8 +202,8 @@ def extract_sequences(entries, inv: Inventory, cfg: StudyConfig, carriers: bool 
     rows, start = iter(entries), 0
     while chunk := list(islice(rows, 256)):  # a larger chunk holds more rows of a stream
         try:  # one translate for the chunk's skeletons
-            skeletons = "\n".join([e[1] for e in chunk]).translate(skeleton_table).split("\n")
-        except (TypeError, IndexError):  # a row that is not an (orthography, text) pair
+            skeletons = "\n".join([t for _, t in chunk]).translate(skeleton_table).split("\n")
+        except (TypeError, ValueError):  # a row that is not an (orthography, text) pair
             skeletons = ()
         if len(skeletons) != len(chunk):  # also when a text holds "\n"
             skeletons = _skeletons(chunk, start, skeleton_table)
@@ -239,8 +240,8 @@ def _skeletons(chunk, start, skeleton_table):
     a time, so that an error names the first entry at fault."""
     for ix, entry in enumerate(chunk, start):
         try:
-            t = entry[1]
-        except (TypeError, IndexError):  # None, a 1-tuple
+            _, t = entry
+        except (TypeError, ValueError):  # None, a row of other than two items
             raise StudyError("entry %d: %r is not an (orthography, transcription) pair"
                              % (ix, entry)) from None
         try:

@@ -353,7 +353,7 @@ def parse_inventory(text: str) -> Inventory:
                 raise InventoryError("duplicate feature bundle for %r" % sym, line=no)
             bundles[sym] = tuple(fields[1:])
             lines["features", sym] = no
-        elif section == "classes":
+        else:  # classes: an unknown section raised at its header
             if len(fields) != 2 or fields[1] not in SEGMENT_CLASSES:
                 raise InventoryError(
                     "expected '<symbol> <%s>'" % "|".join(SEGMENT_CLASSES), line=no
@@ -367,8 +367,6 @@ def parse_inventory(text: str) -> Inventory:
                 )
             class_map[sym] = fields[1]
             lines["classes", sym] = no
-        else:
-            raise InventoryError("content in unknown section", line=no)
 
     if "phonemes" not in sections_seen:
         raise InventoryError("missing [phonemes] section")

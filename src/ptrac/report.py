@@ -96,14 +96,15 @@ def render(matrix: ContrastMatrix, spec: RenderSpec, inv=None, meta=None) -> str
 
 
 def _chart(m, contexts) -> str:
-    """Grouped bar chart: one group per context, one bar per feature,
-    weighted counts as heights."""
+    """Grouped bar chart of the `_records` rows: one group per context, one
+    bar per feature, weighted counts as heights."""
     if len(contexts) > MAX_CHART_COLUMNS:
         raise StudyError(
             "%d context columns exceed the chart limit of %d"
             % (len(contexts), MAX_CHART_COLUMNS)
         )
     features = m.features
+    rows = list(_records(m, contexts))
     bar_w, bar_gap, group_gap = 26, 4, 24
     margin_l, margin_r, margin_t, margin_b = 56, 20, 36, 46
     plot_h = 220
@@ -111,67 +112,47 @@ def _chart(m, contexts) -> str:
     plot_w = max(len(contexts), 1) * (group_w + group_gap)
     width = margin_l + plot_w + margin_r
     height = margin_t + plot_h + margin_b
-    vmax = max([m.cell(c, f).weighted for c in contexts for f in features] or [0])
+    x_axis_y = margin_t + plot_h
+    vmax = max([w for _, _, w, _ in rows] or [0])
     scale = plot_h / vmax if vmax else 0.0
+
+    def text(x, y, body, anchor="", size=11):
+        return ('<text x="%d" y="%d" font-family="sans-serif" font-size="%d"%s>%s</text>'
+                % (x, y, size, anchor and ' text-anchor="%s"' % anchor, body))
+
+    def line(x1, y1, x2, y2):
+        return '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>' % (x1, y1, x2, y2)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
         'viewBox="0 0 %d %d">' % (width, height, width, height),
         '<rect width="%d" height="%d" fill="white"/>' % (width, height),
-        '<text x="%d" y="20" font-family="sans-serif" font-size="13">'
-        "Contrast counts by context (%s)</text>" % (margin_l, m.scheme),
+        text(margin_l, 20, "Contrast counts by context (%s)" % m.scheme, size=13),
+        line(margin_l, margin_t, margin_l, x_axis_y),
+        line(margin_l, x_axis_y, margin_l + plot_w, x_axis_y),
+        text(margin_l - 6, margin_t + 4, "%d" % vmax, "end"),
+        text(margin_l - 6, x_axis_y + 4, "0", "end"),
     ]
-    x_axis_y = margin_t + plot_h
-    parts.append(
-        '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
-        % (margin_l, margin_t, margin_l, x_axis_y)
-    )
-    parts.append(
-        '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
-        % (margin_l, x_axis_y, margin_l + plot_w, x_axis_y)
-    )
-    parts.append(
-        '<text x="%d" y="%d" font-family="sans-serif" font-size="11" '
-        'text-anchor="end">%d</text>' % (margin_l - 6, margin_t + 4, vmax)
-    )
-    parts.append(
-        '<text x="%d" y="%d" font-family="sans-serif" font-size="11" '
-        'text-anchor="end">0</text>' % (margin_l - 6, x_axis_y + 4)
-    )
-
-    for gi, ctx in enumerate(contexts):
-        label = _esc(context_text(ctx))
+    for i, (ctx, feat, v, _) in enumerate(rows):
+        gi, fi = divmod(i, len(features))
         gx = margin_l + group_gap // 2 + gi * (group_w + group_gap)
-        for fi, feat in enumerate(features):
-            v = m.cell(ctx, feat).weighted
-            if v <= 0:
-                continue
+        if v > 0:
             h = v * scale
-            x = gx + fi * (bar_w + bar_gap)
             parts.append(
                 '<rect x="%d" y="%.2f" width="%d" height="%.2f" fill="%s">'
                 "<title>%s %s: %d</title></rect>"
-                % (x, x_axis_y - h, bar_w, h,
-                   FEATURE_COLORS.get(feat, "#888888"), label, feat, v)
+                % (gx + fi * (bar_w + bar_gap), x_axis_y - h, bar_w, h,
+                   FEATURE_COLORS.get(feat, "#888888"), _esc(ctx), feat, v)
             )
-        parts.append(
-            '<text x="%d" y="%d" font-family="sans-serif" font-size="11" '
-            'text-anchor="middle">%s</text>'
-            % (gx + group_w // 2, x_axis_y + 16, label)
-        )
+        if fi == len(features) - 1:  # the group's last bar: its context label
+            parts.append(text(gx + group_w // 2, x_axis_y + 16, _esc(ctx), "middle"))
 
     for fi, feat in enumerate(features):
-        lx = margin_l + fi * 90
-        ly = height - 12
-        parts.append(
-            '<rect x="%d" y="%d" width="10" height="10" fill="%s"/>'
-            % (lx, ly - 9, FEATURE_COLORS.get(feat, "#888888"))
-        )
-        parts.append(
-            '<text x="%d" y="%d" font-family="sans-serif" font-size="11">%s</text>'
-            % (lx + 14, ly, feat)
-        )
+        lx, ly = margin_l + fi * 90, height - 12
+        parts += ['<rect x="%d" y="%d" width="10" height="10" fill="%s"/>'
+                  % (lx, ly - 9, FEATURE_COLORS.get(feat, "#888888")),
+                  text(lx + 14, ly, feat)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

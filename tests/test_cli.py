@@ -55,6 +55,11 @@ def test_syllabify_needs_words_or_lexicon(capsys, inv_path, lex_path, words, lex
     assert run(capsys, argv + words) == (1, "", message)
 
 
+def test_syllabify_untokenizable_word_is_reported_and_the_rest_printed(capsys, inv_path):
+    assert run(capsys, ["syllabify", "--inventory", inv_path, "ba5d", "bara"]) == (
+        2, "ba.ra\n", "error: ba5d: no inventory symbol matches '5' at offset 2\n")
+
+
 def test_syllabify_invalid_word(capsys, inv_path):
     code, out, err = run(capsys, ["syllabify", "--inventory", inv_path, "ab"])
     assert code == 2
@@ -674,7 +679,7 @@ def inventory_text(inv):
 def _path_argvs(capsys, inv_path, lex_path):
     """`analyze` for every kind, scheme and format, and `list-pairs` for
     every kind and feature on a few contexts of each scheme but position."""
-    from ptrac.core import FORMATS
+    from ptrac.inventory import FORMATS
 
     base = ["--inventory", inv_path, "--lexicon", lex_path]
     argvs = [["analyze", *base, "--study", kind, "--aggregate", scheme, "--format", fmt]

@@ -16,7 +16,7 @@ from ptrac import (
     run_study,
     syllabify,
 )
-from ptrac.core import MinimalSequencePair, SequenceTable
+from ptrac.core import MinimalSequencePair, SequenceTable, scheme_key
 
 
 def table_of(freqs):
@@ -199,6 +199,25 @@ def test_position_scheme_requires_positions_study(fixture_lexicon, persian):
     report = run_study(fixture_lexicon, persian, StudyConfig())
     with pytest.raises(StudyError):
         aggregate(report.matrix, "position")
+
+
+def test_following_class_needs_the_inventory():
+    with pytest.raises(StudyError, match="following-class aggregation needs the inventory"):
+        scheme_key("following-class", "clusters")
+
+
+def test_aggregated_matrix_is_not_aggregated_again(fixture_lexicon, persian):
+    agg = aggregate(run_study(fixture_lexicon, persian, StudyConfig()).matrix, "total")
+    with pytest.raises(StudyError, match=r"matrix already aggregated \(total\)"):
+        aggregate(agg, "total")
+
+
+def test_list_pairs_rejects_an_unknown_feature(fixture_lexicon, persian):
+    cfg = StudyConfig()
+    pairs = enumerate_minimal_sequence_pairs(
+        run_study(fixture_lexicon, persian, cfg).table, persian, cfg)
+    with pytest.raises(StudyError, match="unknown feature 'tone'"):
+        list_pairs_for(pairs, "tone", "_n", fixture_lexicon, persian, cfg)
 
 
 def test_vowel_never_a_differing_position(persian):

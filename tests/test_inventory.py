@@ -72,6 +72,8 @@ def test_unknown_inputs(persian):
         contrasting_feature(persian, "a", "b")  # vowel argument
     with pytest.raises(InventoryError):
         featural_pairs(persian, "nasality")
+    with pytest.raises(InventoryError, match="unknown orientation 'sideways'"):
+        featural_pairs(persian, "voice", "sideways")
 
 
 def test_minimal_pairlist_inventory():
@@ -257,6 +259,9 @@ INVALID_INPUTS = {
                     "feature bundle for 'b' has 4 values, not 3"),
     "mode": ([B, A], FeatureSystem(mode="matrix"), None,
              "unknown feature-system mode 'matrix'"),
+    "no-vowel": ([B, P], _pairs("bp"), None,
+                 "inventory needs at least one consonant and one vowel"),
+    "no-consonant": ([A], NO_PAIRS, None, "inventory needs at least one consonant and one vowel"),
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 import ptrac
 from ptrac import PtracError, StudyConfig, StudyError, data, parse_inventory, parse_lexicon
 from ptrac import syllabify, tokenize_transcription
-from ptrac.core import FORMATS, KINDS, SCHEMES
+from ptrac.inventory import FORMATS, KINDS, SCHEMES
 from ptrac.oracle import oracle_matrix
 from ptrac.report import RenderSpec, render
 from randlex import joined_lines, make_case

@@ -47,6 +47,15 @@ def test_oracle_fixture_voice_row(fixture_lexicon, persian):
     assert got == by_frame
 
 
+def test_syllables_that_differ_in_their_vowel_are_no_pair(persian):
+    # band/bond differ in the vowel, bond/pand in two segments: b/p is the one pair
+    lex = Lexicon([("band", "band"), ("bond", "bond"), ("pand", "pand")], persian)
+    cfg = StudyConfig(kind="positions")
+    want = {(tuple("_and"), "voice"): (1, 1)}
+    for m in (run_study(lex, persian, cfg).matrix, oracle_matrix(lex, persian, cfg)):
+        assert {k: tuple(c) for k, c in m.cells.items()} == want
+
+
 def test_oracle_empty_lexicon(persian):
     m = oracle_matrix(Lexicon([], persian), persian, StudyConfig())
     assert not m.cells

@@ -279,6 +279,8 @@ ERRORS = {  # each bad row's message, entry index left out
     UNKNOWN: " (odd): symbol '5' is not in the inventory",
     None: ": None is not an (orthography, transcription) pair",
     ("w",): ": ('w',) is not an (orthography, transcription) pair",
+    "band": ": 'band' is not an (orthography, transcription) pair",
+    ("band", "band", "x"): ": ('band', 'band', 'x') is not an (orthography, transcription) pair",
 }
 
 
@@ -299,7 +301,7 @@ def test_a_bad_entry_past_the_first_chunk_is_named(row, earlier):
         assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("row", [None, ("w",)], ids=repr)
+@pytest.mark.parametrize("row", [None, ("w",), "band", ("band", "band", "x")], ids=repr)
 def test_a_row_that_is_no_pair_is_a_study_error(row):
     for kind in KINDS:
         with pytest.raises(StudyError) as exc:

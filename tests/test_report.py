@@ -1,6 +1,7 @@
 """Rendering tests: csv/json/markdown records and the SVG chart."""
 
 import csv
+import hashlib
 import io
 import json
 import xml.dom.minidom
@@ -113,6 +114,24 @@ def test_svg_single_position_group(persian):
         if el.get("text-anchor") == "middle"
     ]
     assert labels == ["C1"]
+
+
+@pytest.mark.parametrize("kind, scheme, feature, digest", [
+    ("clusters", "following-class", None,
+     "df880134755c37657f7f336563b033e5bbead4989a53a54fd66cd0fde2616a7e"),
+    ("positions", "position", "voice",
+     "757fa8e673460a766deafb228e6941841e30768852cd982bcd580541d5f1bd18"),
+    (None, "frame", None,  # the empty matrix
+     "24155b3191f28bdc4a23c9d8aa919649a37b2f7de5ea904a02659ed63996ec8b"),
+])
+def test_svg_bytes_are_pinned(fixture_lexicon, persian, kind, scheme, feature, digest):
+    if kind is None:
+        matrix = ContrastMatrix()
+    else:
+        matrix = run_study(fixture_lexicon, persian,
+                           StudyConfig(kind=kind, feature=feature)).matrix
+    out = render(matrix, RenderSpec("svg", scheme), inv=persian)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_svg_column_limit(persian):
