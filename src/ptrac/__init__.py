@@ -19,7 +19,7 @@ _HOMES = {name: module for module, names in (
                "TokenizeError"),
     ("inventory", "FEATURES Inventory Phoneme contrasting_feature featural_pairs "
                   "parse_inventory"),
-    ("lexicon", "LexEntry Lexicon parse_lexicon serialize_lexicon tokenize_transcription"),
+    ("lexicon", "LexEntry Lexicon parse_lexicon tokenize_transcription"),
     ("syllabifier", "Syllable format_syllables syllabify"),
     ("core", "ContrastMatrix MinimalSequencePair SequenceTable StudyConfig StudyReport "
              "aggregate count_contrasts enumerate_minimal_sequence_pairs extract_sequences "

@@ -8,7 +8,6 @@ Counts downstream are type frequencies, so no numeric column is read.
 
 from __future__ import annotations
 
-import re
 from itertools import chain
 from typing import NamedTuple
 
@@ -61,9 +60,6 @@ class Lexicon:
 
     def __len__(self):
         return len(self._rows)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def tokenize_transcription(text: str, inv: Inventory):
@@ -155,24 +151,3 @@ def parse_lexicon(text: str, inv: Inventory, strict: bool = False):
     lex = Lexicon.__new__(Lexicon)  # skips the symbol check: `read_entries` made them
     lex._rows, lex.inventory = rows, inv
     return lex, diagnostics
-
-
-def serialize_lexicon(lex: Lexicon) -> str:
-    """Inverse of parse_lexicon, written in symbols. An entry the file would
-    read back otherwise is a LexiconError naming it: an orthography a line
-    cannot hold (empty, with a tab, "\n" or "\r", or a comment: "#" after
-    leading whitespace), or symbols that tokenize otherwise (`t`+`s`+`a`)."""
-    inv, unwritable = lex.inventory, re.compile(r"\A\Z|[\t\n\r]|\A\s*#").search
-    rows = [(o, inv.decode(t)) for o, t in lex._rows]
-    for ix, (o, symbols) in enumerate(rows):
-        if unwritable(o):
-            raise LexiconError("entry %d: orthography %r cannot be written to a lexicon line"
-                               % (ix, o))
-        try:
-            read = tokenize_transcription("".join(symbols), inv)
-        except TokenizeError:  # empty, or a literal "?" symbol
-            read = None
-        if read != symbols:
-            raise LexiconError("entry %d: transcription %r would not read back as %r"
-                               % (ix, "".join(symbols), symbols))
-    return "".join("%s\t%s\n" % (o, "".join(symbols)) for o, symbols in rows)

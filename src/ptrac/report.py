@@ -110,7 +110,7 @@ def _chart(m, contexts) -> str:
     plot_h = 220
     group_w = len(features) * (bar_w + bar_gap) - bar_gap
     plot_w = max(len(contexts), 1) * (group_w + group_gap)
-    width = margin_l + plot_w + margin_r
+    width = margin_l + max(plot_w, 90 * len(features) - 50) + margin_r  # room for the legend too
     height = margin_t + plot_h + margin_b
     x_axis_y = margin_t + plot_h
     vmax = max([w for _, _, w, _ in rows] or [0])

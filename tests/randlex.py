@@ -1,11 +1,14 @@
 """Seeded random inventories and lexicons, and a Hypothesis strategy of
-arbitrary-alphabet ones, for engine/oracle comparison."""
+arbitrary-alphabet ones, for engine/oracle comparison; and the writers of
+lexicon files, `joined_lines` and the checked `serialize_lexicon`."""
 
 import random
+import re
 
 from hypothesis import strategies as st
 
-from ptrac import Inventory, Lexicon, LexEntry
+from ptrac import (Inventory, Lexicon, LexEntry, LexiconError, TokenizeError,
+                   tokenize_transcription)
 from ptrac.inventory import FEATURES, HOLE, FeatureSystem, Phoneme
 
 CONSONANT_POOL = list("bcdfghjklmnpqrstvwxyz")
@@ -91,6 +94,28 @@ def joined_lines(lex):
     reads a line back as other symbols, or none, which `serialize_lexicon`
     refuses: the files that exercise such readings."""
     return "".join("%s\t%s\n" % (e.orthography, "".join(e.transcription)) for e in lex.entries)
+
+
+def serialize_lexicon(lex: Lexicon) -> str:
+    """Inverse of parse_lexicon, written in symbols. An entry the file would
+    read back otherwise is a LexiconError naming it: an orthography a line
+    cannot hold (empty, with a tab, "\n" or "\r", or a comment: "#" after
+    leading whitespace), or symbols that tokenize otherwise (`t`+`s`+`a`).
+    Once every entry passes, the file is `joined_lines(lex)`."""
+    inv, unwritable = lex.inventory, re.compile(r"\A\Z|[\t\n\r]|\A\s*#").search
+    rows = [(o, inv.decode(t)) for o, t in lex._rows]
+    for ix, (o, symbols) in enumerate(rows):
+        if unwritable(o):
+            raise LexiconError("entry %d: orthography %r cannot be written to a lexicon line"
+                               % (ix, o))
+        try:
+            read = tokenize_transcription("".join(symbols), inv)
+        except TokenizeError:  # empty, or a literal "?" symbol
+            read = None
+        if read != symbols:
+            raise LexiconError("entry %d: transcription %r would not read back as %r"
+                               % (ix, "".join(symbols), symbols))
+    return joined_lines(lex)
 
 
 def random_lexicon(rng, inv, max_words=200):

@@ -722,8 +722,7 @@ PRINTING = {
 
 
 def _lexicon_cases():
-    from randlex import make_case
-    from ptrac import serialize_lexicon
+    from randlex import make_case, serialize_lexicon
 
     yield "fixture", data.persian_inventory_text(), data.voicing_fixture_text()
     yield "lines", data.persian_inventory_text(), LINES_LEXICON

@@ -12,10 +12,10 @@ import types
 
 import pytest
 
-from randlex import make_case, random_word
+from randlex import make_case, random_word, serialize_lexicon
 from ptrac import (LexEntry, Lexicon, StudyConfig, StudyError, data,
                    enumerate_minimal_sequence_pairs, extract_sequences, list_pairs_for,
-                   parse_inventory, parse_lexicon, run_study, serialize_lexicon)
+                   parse_inventory, parse_lexicon, run_study)
 from ptrac.cli import cli_main
 from ptrac.core import KINDS, SCHEMES, context_text
 from ptrac.inventory import FEATURES
@@ -176,3 +176,18 @@ def test_witnesses_equal_the_per_character_scan(monkeypatch, seed, name):
                     assert got == rows()
                 assert got
     assert {1, 2, 3} <= held
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pairs_without_carriers_have_no_witnesses(kind):
+    # A pair neither of whose sequences has a carrier gets no witness: not
+    # even the first-carriers fallback, which needs a carrier of each.
+    inv = parse_inventory(PERSIAN)
+    lex, _ = parse_lexicon(data.voicing_fixture_text(), inv)
+    cfg = StudyConfig(kind)
+    pairs = enumerate_minimal_sequence_pairs(extract_sequences(lex, inv, cfg)[0], inv, cfg)
+    rows = [r for feature in FEATURES
+            for r in list_pairs_for(pairs, feature, "total", lex, inv, cfg, scheme="total",
+                                    carriers={})]
+    assert pairs and [r.pair for r in rows] == sorted(pairs, key=lambda p: p.feature)
+    assert all(r.witnesses == () for r in rows)

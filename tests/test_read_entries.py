@@ -23,11 +23,10 @@ from ptrac import (
     parse_inventory,
     parse_lexicon,
     run_study,
-    serialize_lexicon,
 )
 from ptrac.core import KINDS
 from ptrac.lexicon import read_entries
-from randlex import hostile_case, joined_lines, make_case, random_word
+from randlex import hostile_case, joined_lines, make_case, random_word, serialize_lexicon
 from test_lexicon import lexicon_text
 from test_plans import reference_extract
 from test_walk import wide_case
@@ -197,7 +196,7 @@ def test_tuple_transcriptions_of_one_character_symbols():
     # Tuples of symbols come in through a Lexicon, which keeps them as text;
     # an iterable holds text, as `read_entries` yields it.
     lex, _ = parse_lexicon(data.voicing_fixture_text(), PERSIAN)
-    as_tuples = [(e.orthography, e.transcription) for e in lex]
+    as_tuples = [(e.orthography, e.transcription) for e in lex.entries]
     for carriers in (False, True):
         got = extract_sequences(Lexicon(as_tuples, PERSIAN), PERSIAN, StudyConfig(),
                                 carriers=carriers)

@@ -96,17 +96,13 @@ def test_svg_zero_matrix_has_axes_no_bars():
     assert len(lines) == 2
 
 
+def one_position_matrix(inv):
+    lex = Lexicon([LexEntry(w, tuple(w)) for w in ("band", "pand", "dand")], inv)
+    return run_study(lex, inv, StudyConfig(kind="positions")).matrix
+
+
 def test_svg_single_position_group(persian):
-    lex = Lexicon(
-        [
-            LexEntry("band", tuple("band")),
-            LexEntry("pand", tuple("pand")),
-            LexEntry("dand", tuple("dand")),
-        ],
-        persian,
-    )
-    matrix = run_study(lex, persian, StudyConfig(kind="positions")).matrix
-    out = render(matrix, RenderSpec("svg", "position"), inv=persian)
+    out = render(one_position_matrix(persian), RenderSpec("svg", "position"), inv=persian)
     root = ET.fromstring(out)
     labels = [
         el.text
@@ -116,13 +112,31 @@ def test_svg_single_position_group(persian):
     assert labels == ["C1"]
 
 
+@pytest.mark.parametrize("case", ["total", "one position", "empty"])
+def test_svg_legend_fits_a_chart_of_one_column(fixture_matrix, persian, case):
+    matrix, scheme = {"total": (fixture_matrix, "total"),
+                      "one position": (one_position_matrix(persian), "position"),
+                      "empty": (ContrastMatrix(), "frame")}[case]
+    root = ET.fromstring(render(matrix, RenderSpec("svg", scheme), inv=persian))
+    width, legend_y = int(root.get("width")), int(root.get("height")) - 12
+    ns = "{http://www.w3.org/2000/svg}"
+    swatches = [el for el in root.iter(ns + "rect") if el.get("height") == "10"]
+    labels = [el for el in root.iter(ns + "text") if int(el.get("y")) == legend_y]
+    assert [el.text for el in labels] == ["manner", "place", "voice"]
+    assert len(swatches) == 3
+    for el in swatches:
+        assert int(el.get("x")) + int(el.get("width")) <= width
+    for el in labels:  # about 7 px per character at font size 11
+        assert int(el.get("x")) + 7 * len(el.text) <= width
+
+
 @pytest.mark.parametrize("kind, scheme, feature, digest", [
     ("clusters", "following-class", None,
      "df880134755c37657f7f336563b033e5bbead4989a53a54fd66cd0fde2616a7e"),
     ("positions", "position", "voice",
      "757fa8e673460a766deafb228e6941841e30768852cd982bcd580541d5f1bd18"),
     (None, "frame", None,  # the empty matrix
-     "24155b3191f28bdc4a23c9d8aa919649a37b2f7de5ea904a02659ed63996ec8b"),
+     "10adae3f286866dda1a9093bb61f7b6c001984f33780d47b7d63f3c16585a5bb"),
 ])
 def test_svg_bytes_are_pinned(fixture_lexicon, persian, kind, scheme, feature, digest):
     if kind is None:
