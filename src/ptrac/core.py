@@ -269,31 +269,24 @@ def _encode(freqs, inv: Inventory):
         raise StudyError("sequence symbol %r is not in the inventory" % exc.args[0]) from None
 
 
-def _passes(inv: Inventory, cfg: StudyConfig, shifts):
-    """The walk's passes over positions, as ``(position, shift, steps)``:
-    ``steps[x]`` lists ``(delta, feature index)`` for each consonant that
-    code x is swapped for, in code order, of `cfg.feature` alone when it
-    filters one. Adding delta to a sequence swaps the symbol at that shift.
-    Up passes swap for larger codes, from the last position to the first;
-    an ordered study first makes down passes, first position to last. A
-    sequence's neighbours so come out in tuple order, each pair of an
-    unordered study once, from its smaller member. Only the enumeration
-    walks down passes; `_count_table` counts from the up passes."""
+def _passes(inv: Inventory, feature, shifts):
+    """The walk's passes over positions, last to first, as ``(position,
+    shift, steps)``: ``steps[x]`` lists ``(delta, feature index)`` for each
+    larger code that code x is swapped for, in code order, of `feature`
+    alone when it is not None. Adding delta to a sequence swaps the symbol
+    at that shift. A sequence's neighbours so come out in tuple order, and
+    a walk over the sequences in order finds each unordered pair once, from
+    its smaller member."""
     codes = inv.codes
     up = [[] for _ in inv.code_symbols]
-    down = [[] for _ in inv.code_symbols]
     for x, rel in inv.relation.items():
         cx = codes[x]
-        for y, feature in rel.items():  # in symbol order, so in code order
-            if cfg.feature is None or feature == cfg.feature:
-                cy = codes[y]
-                (up if cy > cx else down)[cx].append((cy - cx, FEATURES.index(feature)))
+        for y, f in rel.items():  # in symbol order, so in code order
+            if codes[y] > cx and (feature is None or f == feature):
+                up[cx].append((codes[y] - cx, FEATURES.index(f)))
     passes = [(pos, shift, [[(d << shift, f) for d, f in st] for st in up])
               for pos, shift in enumerate(shifts)]
     passes.reverse()
-    if cfg.orientation == "ordered":
-        passes[:0] = [(pos, shift, [[(d << shift, f) for d, f in st] for st in down])
-                      for pos, shift in enumerate(shifts)]
     return passes
 
 
@@ -303,27 +296,32 @@ def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: 
     its symbols, decoded once. Sequences pair up iff they have equal
     length and differ at exactly one position whose two segments are
     consonants contrasting in exactly one feature. Unordered orientation
-    emits each pair once (smaller member first); ordered emits both.
+    emits each pair once (smaller member first); ordered adds its reverse.
 
-    A neighbour of a coded sequence a (see `_encode`) is a with one
-    consonant swapped for one it contrasts with in exactly one feature,
-    ``a + delta`` of a pass (see `_passes`); it pairs with a iff it is in
-    the table. The cost grows with the number of sequences and the degree
-    of the pair relation."""
+    A neighbour of a coded sequence a (see `_encode`) is ``a + delta`` of
+    a pass (see `_passes`); it pairs with a iff it is in the table. Under
+    ordered, a pair's reverse is filed under its larger member and comes
+    out when the walk reaches it, before that member's own pairs. The cost
+    grows with the number of sequences and the degree of the pair relation."""
     coded, shifts = _encode(table.freqs, inv)
     seqs = dict(zip(coded, map(inv.decode, table.freqs)))
     mask = (1 << inv.code_bits) - 1
-    passes = _passes(inv, cfg, shifts)
+    passes = _passes(inv, cfg.feature, shifts)
     get = coded.get
-    pairs = []
+    ordered, reverses, pairs = cfg.orientation == "ordered", {}, []
     for a in sorted(coded):
         fa, seq_a = coded[a], seqs[a]
+        if ordered:
+            pairs += reverses.pop(a, ())
         for pos, shift, steps in passes:
             for d, f in steps[a >> shift & mask]:
                 fb = get(a + d)
                 if fb is not None:
-                    pairs.append(tuple.__new__(MinimalSequencePair, (  # skips its __new__
-                        seq_a, seqs[a + d], pos, FEATURES[f], fa if fa < fb else fb)))
+                    p = seq_a, seqs[a + d], pos, FEATURES[f], fa if fa < fb else fb
+                    pairs.append(tuple.__new__(MinimalSequencePair, p))  # skips its __new__
+                    if ordered:
+                        reverses.setdefault(a + d, []).append(
+                            tuple.__new__(MinimalSequencePair, (p[1], seq_a) + p[2:]))
     return pairs
 
 
@@ -363,11 +361,9 @@ def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
     padding 0 included (see `scheme_key`). So before the walk, each pass
     maps every next code to the row of its context, shared by the passes
     at that position. The row of context None holds the pairs the scheme
-    leaves out; they count only towards `pairs_found`.
-
-    An ordered study walks the up passes alone and counts each pair twice:
-    a pair and its reverse share the frame, the code after the hole and
-    the weight."""
+    leaves out; they count only towards `pairs_found`. An ordered study
+    counts each pair twice: a pair and its reverse share the frame, the
+    code after the hole and the weight."""
     key_of = scheme_key(scheme, cfg.kind, inv)
     coded, shifts = _encode(table.freqs, inv)
     bits, symbols = inv.code_bits, inv.code_symbols
@@ -375,7 +371,7 @@ def _count_table(table: SequenceTable, inv: Inventory, cfg: StudyConfig,
     rows = {}  # context, or under frame the coded frame -> row
     frames = []  # under frame, (coded sequence, shift, row) of each row's first pair
     passes = []  # (shift, steps, mask of a sequence's row key, row of each key)
-    for pos, shift, steps in _passes(inv, cfg._replace(orientation="unordered"), shifts):
+    for pos, shift, steps in _passes(inv, cfg.feature, shifts):
         if scheme == "frame":
             passes.append((shift, steps, ~(mask << shift), rows))
             continue

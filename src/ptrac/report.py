@@ -110,7 +110,8 @@ def _chart(m, contexts) -> str:
     plot_h = 220
     group_w = len(features) * (bar_w + bar_gap) - bar_gap
     plot_w = max(len(contexts), 1) * (group_w + group_gap)
-    width = margin_l + max(plot_w, 90 * len(features) - 50) + margin_r  # room for the legend too
+    title = "Contrast counts by context (%s)" % m.scheme  # about 8 px a character
+    width = margin_l + max(plot_w, 90 * len(features) - 50, 8 * len(title)) + margin_r
     height = margin_t + plot_h + margin_b
     x_axis_y = margin_t + plot_h
     vmax = max([w for _, _, w, _ in rows] or [0])
@@ -128,7 +129,7 @@ def _chart(m, contexts) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
         'viewBox="0 0 %d %d">' % (width, height, width, height),
         '<rect width="%d" height="%d" fill="white"/>' % (width, height),
-        text(margin_l, 20, "Contrast counts by context (%s)" % m.scheme, size=13),
+        text(margin_l, 20, title, size=13),
         line(margin_l, margin_t, margin_l, x_axis_y),
         line(margin_l, x_axis_y, margin_l + plot_w, x_axis_y),
         text(margin_l - 6, margin_t + 4, "%d" % vmax, "end"),

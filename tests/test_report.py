@@ -130,13 +130,34 @@ def test_svg_legend_fits_a_chart_of_one_column(fixture_matrix, persian, case):
         assert int(el.get("x")) + 7 * len(el.text) <= width
 
 
+@pytest.mark.parametrize("case", ["total", "voice total", "one position", "voice position",
+                                  "empty", "following-class"])
+def test_svg_title_fits_a_narrow_chart(fixture_lexicon, persian, case):
+    if case == "one position":
+        matrix, scheme = one_position_matrix(persian), "position"
+    elif case == "empty":
+        matrix, scheme = ContrastMatrix(), "frame"
+    else:
+        cfg, scheme = {"total": (StudyConfig(), "total"),
+                       "voice total": (StudyConfig(feature="voice"), "total"),
+                       "voice position": (StudyConfig(kind="positions", feature="voice"),
+                                          "position"),
+                       "following-class": (StudyConfig(), "following-class")}[case]
+        matrix = run_study(fixture_lexicon, persian, cfg).matrix
+    root = ET.fromstring(render(matrix, RenderSpec("svg", scheme), inv=persian))
+    title = next(root.iter("{http://www.w3.org/2000/svg}text"))
+    assert title.text == "Contrast counts by context (%s)" % scheme
+    # about 8 px per character at font size 13
+    assert int(title.get("x")) + 8 * len(title.text) <= int(root.get("width"))
+
+
 @pytest.mark.parametrize("kind, scheme, feature, digest", [
     ("clusters", "following-class", None,
-     "df880134755c37657f7f336563b033e5bbead4989a53a54fd66cd0fde2616a7e"),
+     "7e45ff60e2c59c285eeedf5e164e035a1a3b023fc31b38e524772771e925ee97"),
     ("positions", "position", "voice",
-     "757fa8e673460a766deafb228e6941841e30768852cd982bcd580541d5f1bd18"),
+     "2395e6cbf2becdd1b61c6c7170232cb3783ea4131967d6d596c38c304b201a96"),
     (None, "frame", None,  # the empty matrix
-     "10adae3f286866dda1a9093bb61f7b6c001984f33780d47b7d63f3c16585a5bb"),
+     "0af0f3d483408830c3ca1eba7b9ce6f1d4547c281b37cd8afd3efbf5288f7d04"),
 ])
 def test_svg_bytes_are_pinned(fixture_lexicon, persian, kind, scheme, feature, digest):
     if kind is None:
