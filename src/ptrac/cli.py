@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import gc
 import sys
 from collections import deque
 
 from . import __version__
 from .errors import InventoryError, LexiconError, PtracError, StudyError
 from .inventory import (FEATURES, FORMATS, KINDS, ORIENTATIONS, SCHEMES, WEIGHTINGS,
-                        featural_pairs, parse_inventory, split_lines)
+                        collector_paused, featural_pairs, parse_inventory, split_lines)
 
 # Each command imports the rest of the package it runs: `pairs` needs only
 # the inventory, and `syllabify` no engine.
@@ -230,21 +229,11 @@ _COMMANDS = {
 }
 
 
+# A command builds long-lived tables (sequences, plans, and for list-pairs
+# and syllabify an entry per carrier or word) and no reference cycles, so
+# the cyclic collector would only walk that heap again and again.
+@collector_paused
 def cli_main(argv=None) -> int:
-    # A command builds long-lived tables (sequences, plans, and for
-    # list-pairs and syllabify an entry per carrier or word) and no
-    # reference cycles, so the cyclic collector would only walk that heap
-    # again and again; it is paused for the command and restored after.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _run(argv)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _run(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -27,7 +27,8 @@ from itertools import count, islice
 from typing import NamedTuple
 
 from .errors import StudyError, SyllabifyError
-from .inventory import FEATURES, HOLE, KINDS, ORIENTATIONS, SCHEMES, WEIGHTINGS, Inventory
+from .inventory import (FEATURES, HOLE, KINDS, ORIENTATIONS, SCHEMES, WEIGHTINGS, Inventory,
+                        collector_paused)
 from .lexicon import Lexicon
 from .syllabifier import syllable_spans, syllabify
 
@@ -251,19 +252,23 @@ def _skeletons(chunk, start, skeleton_table):
                              % (ix, entry[0], t)) from None
 
 
-def _encode(freqs, inv: Inventory):
+def _encode(freqs, inv: Inventory, symbols: bool = False):
     """The coded table, integer -> frequency in table order, and the bit
-    shift of each position. A text's integer holds the codes of its
+    shift of each position; with `symbols`, integer -> (frequency, the
+    text's symbols, decoded). A text's integer holds the codes of its
     characters' symbols (see `Inventory`), first highest, padded on the
     right with code 0 to the longest text's length. Codes are ordered as
     the symbols are and none is 0, so the integers are ordered as symbol
     tuples, also across lengths (texts are not: a private code sorts
     apart). A character outside the inventory is a StudyError."""
-    bits, char_of = inv.code_bits, inv.char_of
+    bits, char_of, decode = inv.code_bits, inv.char_of, inv.decode
     shifts = range((max(map(len, freqs), default=0) - 1) * bits, -1, -bits)
     at = [{char_of[sym]: code << shift for code, sym in enumerate(inv.code_symbols) if code}
           for shift in shifts]
     try:
+        if symbols:
+            return ({sum(map(dict.__getitem__, at, seq)): (f, decode(seq))
+                     for seq, f in freqs.items()}, shifts)
         return {sum(map(dict.__getitem__, at, seq)): f for seq, f in freqs.items()}, shifts
     except KeyError as exc:
         raise StudyError("sequence symbol %r is not in the inventory" % exc.args[0]) from None
@@ -290,6 +295,7 @@ def _passes(inv: Inventory, feature, shifts):
     return passes
 
 
+@collector_paused  # each pair is a tuple subclass, which the collector never untracks
 def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: StudyConfig):
     """All minimal sequence pairs among the table's sequences, ordered by
     (seq_a, seq_b, position); the pairs of a sequence share one tuple,
@@ -299,32 +305,35 @@ def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: 
     emits each pair once (smaller member first); ordered adds its reverse.
 
     A neighbour of a coded sequence a (see `_encode`) is ``a + delta`` of
-    a pass (see `_passes`); it pairs with a iff it is in the table. Under
-    ordered, a pair's reverse is filed under its larger member and comes
-    out when the walk reaches it, before that member's own pairs. The cost
-    grows with the number of sequences and the degree of the pair relation."""
-    coded, shifts = _encode(table.freqs, inv)
-    seqs = dict(zip(coded, map(inv.decode, table.freqs)))
+    a pass (see `_passes`); it pairs with a iff it is in the table, whose
+    one lookup gives its frequency and symbols. Only smaller sequences look
+    a up, so a leaves the table when the walk reaches it. Under ordered, a
+    pair's reverse is filed under its larger member and comes out when the
+    walk reaches it, before that member's own pairs. The cost grows with
+    the number of sequences and the degree of the pair relation."""
+    coded, shifts = _encode(table.freqs, inv, symbols=True)
     mask = (1 << inv.code_bits) - 1
     passes = _passes(inv, cfg.feature, shifts)
-    get = coded.get
+    get, new = coded.get, tuple.__new__  # `new` skips the pair's __new__
     ordered, reverses, pairs = cfg.orientation == "ordered", {}, []
     for a in sorted(coded):
-        fa, seq_a = coded[a], seqs[a]
+        fa, seq_a = coded.pop(a)
         if ordered:
             pairs += reverses.pop(a, ())
         for pos, shift, steps in passes:
             for d, f in steps[a >> shift & mask]:
-                fb = get(a + d)
-                if fb is not None:
-                    p = seq_a, seqs[a + d], pos, FEATURES[f], fa if fa < fb else fb
-                    pairs.append(tuple.__new__(MinimalSequencePair, p))  # skips its __new__
+                b = get(a + d)
+                if b is not None:
+                    fb, seq_b = b
+                    feature, w = FEATURES[f], fa if fa < fb else fb
+                    pairs.append(new(MinimalSequencePair, (seq_a, seq_b, pos, feature, w)))
                     if ordered:
                         reverses.setdefault(a + d, []).append(
-                            tuple.__new__(MinimalSequencePair, (p[1], seq_a) + p[2:]))
+                            new(MinimalSequencePair, (seq_b, seq_a, pos, feature, w)))
     return pairs
 
 
+@collector_paused  # two tuples per pair, which would set the collector off over the pairs
 def count_contrasts(pairs, cfg: StudyConfig) -> ContrastMatrix:
     """Accumulate pairs into the frame-granularity contrast matrix."""
     index, ws, ns = {}, [], []  # (frame, feature) -> its sums' index in ws and ns

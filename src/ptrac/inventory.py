@@ -14,8 +14,10 @@ Vowels never carry features and never participate in the pair relation.
 
 from __future__ import annotations
 
+import gc
 import re
 from collections import namedtuple
+from functools import wraps
 from itertools import chain
 from typing import NamedTuple
 
@@ -47,6 +49,26 @@ HOLE = "_"  # marks the differing position of a frame; no symbol contains it
 # "?" is accepted as an alias for the glottal stop and normalized away.
 GLOTTAL = "'"
 GLOTTAL_ALIAS = "?"
+
+
+def collector_paused(fn):
+    """`fn`, run with Python's cyclic garbage collector paused; it is turned
+    back on after the call, also one that raises, only if it was on before.
+    For calls that build many long-lived containers and no reference cycle,
+    which the collector would only walk again and again. The state is the
+    process's: other threads see it paused too. (It is defined here because
+    every command loads this module.)"""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 def normalize_symbol(symbol: str) -> str:

@@ -158,7 +158,7 @@ def test_svg_title_fits_a_narrow_chart(fixture_lexicon, persian, case):
      "2395e6cbf2becdd1b61c6c7170232cb3783ea4131967d6d596c38c304b201a96"),
     (None, "frame", None,  # the empty matrix
      "0af0f3d483408830c3ca1eba7b9ce6f1d4547c281b37cd8afd3efbf5288f7d04"),
-])
+], ids=["following-class", "position-voice", "empty"])  # so a re-pin keeps the names
 def test_svg_bytes_are_pinned(fixture_lexicon, persian, kind, scheme, feature, digest):
     if kind is None:
         matrix = ContrastMatrix()
