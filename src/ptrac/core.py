@@ -333,23 +333,43 @@ def enumerate_minimal_sequence_pairs(table: SequenceTable, inv: Inventory, cfg: 
     return pairs
 
 
-@collector_paused  # two tuples per pair, which would set the collector off over the pairs
+@collector_paused  # a frame's two slices per run, which would set the collector off
 def count_contrasts(pairs, cfg: StudyConfig) -> ContrastMatrix:
-    """Accumulate pairs into the frame-granularity contrast matrix."""
-    index, ws, ns = {}, [], []  # (frame, feature) -> its sums' index in ws and ns
+    """Accumulate pairs into the frame-granularity contrast matrix. A pair
+    whose feature is not one of FEATURES is a StudyError.
+
+    Pairs are counted by runs: consecutive pairs with the same `seq_a`
+    object and the same position share a frame, so a run picks its row
+    once, by the sequence's two slices around the hole, which determine
+    the frame. A row holds ``weighted, pairs`` per feature; each pair adds
+    to its feature's two slots. Frames and cells are made once per row at
+    the end. The walk emits its pairs in such runs, but any order gives
+    the same matrix."""
+    slot_of = {f: 2 * i for i, f in enumerate(FEATURES)}
+    rows = {}  # (prefix, suffix) -> row
+    last_a = last_pos = row = None
     for a, _, pos, feature, weight in pairs:
-        key = frame_of(a, pos), feature
-        i = index.get(key)
-        if i is None:
-            index[key] = len(ns)
-            ws.append(weight)
-            ns.append(1)
-        else:
-            ws[i] += weight
-            ns[i] += 1
+        if a is not last_a or pos != last_pos:
+            last_a, last_pos = a, pos
+            key = a[:pos], a[pos + 1:]
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [0, 0] * len(FEATURES)
+        try:
+            i = slot_of[feature]
+        except KeyError:
+            raise StudyError("unknown feature %r" % (feature,)) from None
+        row[i] += weight
+        row[i + 1] += 1
     weighted = cfg.weighting == "type-frequency"
-    return ContrastMatrix(cells=dict(zip(index, map(Cell, ws if weighted else ns, ns))),
-                          features=(cfg.feature,) if cfg.feature else FEATURES,
+    cells = {}
+    for (prefix, suffix), row in rows.items():
+        frame = prefix + (HOLE,) + suffix
+        for feature, i in slot_of.items():
+            n = row[i + 1]
+            if n:
+                cells[frame, feature] = Cell(row[i] if weighted else n, n)
+    return ContrastMatrix(cells=cells, features=(cfg.feature,) if cfg.feature else FEATURES,
                           scheme="frame", kind=cfg.kind)
 
 
@@ -434,9 +454,11 @@ def aggregate(matrix: ContrastMatrix, scheme: str, inv: Inventory = None) -> Con
     key_of = scheme_key(scheme, matrix.kind, inv)
     if matrix.scheme != "frame":
         raise StudyError("matrix already aggregated (%s)" % matrix.scheme)
-    index, ws, ns = {}, [], []  # as in `count_contrasts`
+    index, ws, ns = {}, [], []  # (context, feature) -> its sums' index in ws and ns
+    last = ctx = None
     for (frame, feature), (w, n) in matrix.cells.items():
-        ctx = key_of(frame, frame.index(HOLE))
+        if frame is not last:  # both counts emit a frame's cells together
+            last, ctx = frame, key_of(frame, frame.index(HOLE))
         if ctx is not None:
             key = ctx, feature
             i = index.get(key)
