@@ -22,8 +22,8 @@ _HOMES = {name: module for module, names in (
     ("lexicon", "LexEntry Lexicon parse_lexicon tokenize_transcription"),
     ("syllabifier", "Syllable format_syllables syllabify"),
     ("core", "ContrastMatrix MinimalSequencePair SequenceTable StudyConfig StudyReport "
-             "aggregate count_contrasts enumerate_minimal_sequence_pairs extract_sequences "
-             "list_pairs_for run_study"),
+             "aggregate count_contrasts drill_down enumerate_minimal_sequence_pairs "
+             "extract_sequences list_pairs_for run_study"),
 ) for name in names.split()}
 
 __all__ = list(_HOMES)

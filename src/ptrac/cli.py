@@ -186,30 +186,22 @@ def _cmd_analyze(args):
 
 
 def _cmd_list_pairs(args):
-    from .core import (StudyConfig, enumerate_minimal_sequence_pairs, extract_sequences,
-                       list_pairs_for, scheme_key)
+    from .core import StudyConfig, drill_down
     from .lexicon import read_entries
 
-    if args.limit < 1:
+    if args.limit < 1:  # before any file is read
         raise StudyError("limit must be at least 1, got %d" % args.limit)
     inv = _load_inventory(args.inventory)
     diags = []
     entries = read_entries(_read(args.lexicon, LexiconError), inv, diags)
+    cfg = StudyConfig(kind=args.study, feature=args.feature)
     try:
-        scheme_key(args.scheme, args.study, inv)  # refuses a scheme the study cannot take
+        rows, _ = drill_down(entries, inv, cfg, args.context, scheme=args.scheme,
+                             limit=args.limit)  # refuses the scheme first
     except StudyError:  # it follows every line's diagnostic
         _diagnose(diags, rest=entries)
         raise
-    # Only frames of multi-character symbols can render alike, also across
-    # features, and `list_pairs_for` must see every frame of the context's
-    # text to refuse such a collision; any other walk needs the feature alone.
-    every_feature = args.scheme == "frame" and inv.decode is not tuple
-    cfg = StudyConfig(kind=args.study, feature=None if every_feature else args.feature)
-    table, _ = extract_sequences(entries, inv, cfg, carriers=True)
     _warn(diags)
-    pairs = enumerate_minimal_sequence_pairs(table, inv, cfg)
-    rows = list_pairs_for(pairs, args.feature, args.context, None, inv, cfg,
-                          scheme=args.scheme, limit=args.limit, carriers=table.carriers)
     lines = []
     for row in rows:
         p = row.pair

@@ -6,7 +6,7 @@ with a hole at the differing position) and contrasting feature, and
 accumulate a feature-by-context matrix of weighted counts. `run_study`
 counts the matrix under the requested aggregation scheme as it finds the
 pairs, building no pair object; `enumerate_minimal_sequence_pairs` lists
-the pairs of a table.
+the pairs of a table, and `drill_down` those of one cell, with witnesses.
 
 Two study kinds:
 
@@ -484,12 +484,15 @@ def list_pairs_for(pairs, feature, context, lex: Lexicon, inv: Inventory,
     """Drill-down report: pairs matching a feature and aggregated context,
     each with up to `limit` witness word pairs from the lexicon (see
     `_witnesses`). Contexts are those of `scheme_key`, so a scheme
-    `aggregate` refuses for the study is refused here too. `carriers` is
+    `aggregate` refuses for the study is refused here too, and so is a
+    `cfg` that keeps another feature than `feature`. `carriers` is
     `table.carriers` of `extract_sequences(..., carriers=True)`; `lex` is
     read only when `carriers` is None, and is then extracted again to
     build it."""
     if feature not in FEATURES:
         raise StudyError("unknown feature %r" % feature)
+    if cfg.feature not in (None, feature):  # its walk found no pair of `feature`
+        raise StudyError("cfg keeps feature %r alone, not %r" % (cfg.feature, feature))
     key_of = scheme_key(scheme, cfg.kind, inv)
     if limit < 1:
         raise StudyError("limit must be at least 1, got %d" % limit)
@@ -558,6 +561,29 @@ def _witnesses(seq_a, seq_b, position, carriers, lookup, limit):
     if wa and wb:
         return ((wa[0][0], wb[0][0]),)
     return ()
+
+
+def drill_down(entries, inv: Inventory, cfg: StudyConfig, context,
+               scheme: str = "frame", limit: int = 5):
+    """The drill-down into one cell, feature `cfg.feature` in the context
+    whose text is `context` under `scheme`: returns (rows, excluded), the
+    rows of `list_pairs_for` with witnesses from `entries` (a Lexicon or
+    the iterator of `read_entries`, read once) and the exclusions of
+    `extract_sequences`. The scheme, the feature (a cfg without one is a
+    StudyError) and `limit` are checked before any entry is read."""
+    scheme_key(scheme, cfg.kind, inv)
+    if cfg.feature is None:
+        raise StudyError("a drill-down needs the cell's feature in cfg.feature")
+    if limit < 1:
+        raise StudyError("limit must be at least 1, got %d" % limit)
+    # Only frames of multi-character symbols can render alike, also across
+    # features, and `list_pairs_for` must see every frame of the context's
+    # text to refuse such a collision; any other walk needs the feature alone.
+    walk = cfg._replace(feature=None) if scheme == "frame" and inv.decode is not tuple else cfg
+    table, excluded = extract_sequences(entries, inv, walk, carriers=True)
+    pairs = enumerate_minimal_sequence_pairs(table, inv, walk)
+    return list_pairs_for(pairs, cfg.feature, context, None, inv, walk, scheme=scheme,
+                          limit=limit, carriers=table.carriers), excluded
 
 
 class StudyReport(NamedTuple):

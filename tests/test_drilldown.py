@@ -1,19 +1,22 @@
-"""`ptrac list-pairs` held to the library's full drill-down path.
+"""`drill_down` and `ptrac list-pairs` held to the library's full drill-down path.
 
-The command enumerates the requested feature alone (every feature under
-frame when a symbol has more than one character) and serves witnesses one
-lookup at a time. Its stdout must equal the rows of `list_pairs_for` over
+Both enumerate the requested feature alone (every feature under frame when
+a symbol has more than one character) and serve witnesses one lookup at a
+time. Their rows must equal those of `list_pairs_for` over
 `enumerate_minimal_sequence_pairs` of every feature, and where that path
-refuses the context, the command exits 2 with the same message.
+refuses the context, they refuse it with the same message (the command
+exits 2).
 """
 
 import random
+import re
 import types
 
 import pytest
+from hypothesis import given, settings
 
-from randlex import make_case, random_word, serialize_lexicon
-from ptrac import (LexEntry, Lexicon, StudyConfig, StudyError, data,
+from randlex import hostile_case, make_case, random_word, serialize_lexicon
+from ptrac import (LexEntry, Lexicon, StudyConfig, StudyError, data, drill_down,
                    enumerate_minimal_sequence_pairs, extract_sequences, list_pairs_for,
                    parse_inventory, parse_lexicon, run_study)
 from ptrac.cli import cli_main
@@ -191,3 +194,106 @@ def test_pairs_without_carriers_have_no_witnesses(kind):
                                     carriers={})]
     assert pairs and [r.pair for r in rows] == sorted(pairs, key=lambda p: p.feature)
     assert all(r.witnesses == () for r in rows)
+
+
+def check_drill_down(inv, lex, n=4):
+    """Compare `drill_down`, fed the rows of `lex` as `read_entries` yields
+    them, with the composed calls over every feature, for both kinds, every
+    scheme the kind takes, every feature and the sampled contexts (see
+    `sample_contexts`); returns the numbers of rows, of exclusions and of
+    drill-downs refused."""
+    rows = excluded = refused = 0
+    for kind in KINDS:
+        walk = StudyConfig(kind)
+        table, dropped = extract_sequences(lex, inv, walk, carriers=True)
+        pairs = enumerate_minimal_sequence_pairs(table, inv, walk)
+        for scheme in SCHEMES:
+            if scheme == "position" and kind != "positions":
+                continue
+            for context in sample_contexts(lex, inv, walk, scheme, n):
+                for feature in FEATURES:
+                    try:
+                        want = (list_pairs_for(pairs, feature, context, None, inv, walk,
+                                               scheme=scheme, carriers=table.carriers), dropped)
+                    except StudyError as exc:
+                        want = str(exc)
+                    try:
+                        got = drill_down(iter(lex._rows), inv, walk._replace(feature=feature),
+                                         context, scheme=scheme)
+                    except StudyError as exc:
+                        got = str(exc)
+                    assert got == want, (kind, scheme, context, feature)
+                    if isinstance(want, str):
+                        refused += 1
+                    else:
+                        rows += len(want[0])
+                        excluded += len(want[1])
+    return rows, excluded, refused
+
+
+def test_drill_down_equals_the_composed_calls_on_fixture(persian, fixture_lexicon):
+    rows, _, refused = check_drill_down(persian, fixture_lexicon, n=10 ** 6)  # every context
+    assert rows and not refused
+
+
+@pytest.mark.parametrize("mode", ["pair-list", "vector", "multichar"])
+def test_drill_down_equals_the_composed_calls_on_random_lexicons(mode):
+    totals = [check_drill_down(*make_case(seed, mode=mode)) for seed in range(4)]
+    rows, excluded, _ = map(sum, zip(*totals))
+    assert rows and excluded
+
+
+@settings(deadline=None)
+@given(hostile_case())
+def test_drill_down_equals_the_composed_calls_arbitrary_symbols(case):
+    check_drill_down(*case)
+
+
+def unread():
+    """Entries that fail the test when one is pulled."""
+    pytest.fail("an entry was read")
+    yield
+
+
+@pytest.mark.parametrize("kind, scheme, feature, limit, message", [
+    ("clusters", "nope", "voice", 5, "unknown aggregation scheme 'nope'"),
+    ("clusters", "position", "voice", 5, "position scheme requires a positions study"),
+    ("positions", "frame", None, 5, "a drill-down needs the cell's feature in cfg.feature"),
+    ("clusters", "total", "voice", 0, "limit must be at least 1, got 0"),
+], ids=["unknown scheme", "position on clusters", "no feature", "limit 0"])
+def test_drill_down_refuses_before_reading_an_entry(persian, kind, scheme, feature, limit,
+                                                    message):
+    with pytest.raises(StudyError, match=re.escape(message)):
+        drill_down(unread(), persian, StudyConfig(kind, feature=feature), "total",
+                   scheme=scheme, limit=limit)
+
+
+def test_drill_down_sees_frames_of_every_feature(join_alike_across_features):
+    # The library twin of the command's test: the voice drill-down walks
+    # the manner pairs too under frame, where a manner frame renders as the
+    # voice frame's text; under position no context can collide.
+    inv, lex = join_alike_across_features
+    cfg = StudyConfig("positions", feature="voice")
+    with pytest.raises(StudyError, match=re.escape(
+            "contexts ('t', 'sa', 'k', '_') and ('ts', 'a', 'k', '_') both render as 'tsak_'")):
+        drill_down(lex, inv, cfg, "tsak_")
+    rows, excluded = drill_down(lex, inv, cfg, "C3", scheme="position")
+    assert [(r.pair, r.witnesses) for r in rows] == [
+        ((("t", "sa", "k", "g"), ("t", "sa", "k", "k"), 3, "voice", 1), (("w0", "w1"),))]
+    assert excluded == []
+
+
+@pytest.mark.parametrize("route", ["lex", "carriers"])
+def test_list_pairs_refuses_pairs_walked_for_another_feature(persian, fixture_lexicon, route):
+    # Pairs walked for voice alone hold no manner pair, though the lexicon
+    # has 9: a manner drill-down over them would list none without a word.
+    cfg = StudyConfig(feature="voice")
+    table, _ = extract_sequences(fixture_lexicon, persian, cfg, carriers=True)
+    every = StudyConfig()
+    assert len(list_pairs_for(enumerate_minimal_sequence_pairs(table, persian, every), "manner",
+                              "total", fixture_lexicon, persian, every, scheme="total")) == 9
+    pairs = enumerate_minimal_sequence_pairs(table, persian, cfg)
+    lex, carriers = (fixture_lexicon, None) if route == "lex" else (None, table.carriers)
+    with pytest.raises(StudyError, match="cfg keeps feature 'voice' alone, not 'manner'"):
+        list_pairs_for(pairs, "manner", "total", lex, persian, cfg, scheme="total",
+                       carriers=carriers)
